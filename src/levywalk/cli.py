@@ -5,22 +5,32 @@
     levywalk report [--out DIR]
 
 verify exits 0 iff every report row passes. Rerunning with the same config
-and seed rewrites byte-identical artifacts whatever --threads is.
+and seed rewrites byte-identical artifacts whatever --threads is; it must
+be at least 1, and counts above os.cpu_count() are lowered to it.
 """
 
 import argparse
 import dataclasses
+import os
 import sys
 
 from .errors import ConfigError, ValidationError
 from .harness import SUITES, aggregate_reports, parse_config, run_simulate, run_suite
 
 
+def _thread_count(text):
+    k = int(text)
+    if k < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {k}")
+    return min(k, os.cpu_count() or 1)
+
+
 def _add_common(p):
     p.add_argument("--config", required=True, help="path to a key = value config file")
     p.add_argument("--seed", type=int, default=None, help="override the config seed")
     p.add_argument("--out", default=None, help="override the config output directory")
-    p.add_argument("--threads", type=int, default=1, help="worker threads (output-invariant)")
+    p.add_argument("--threads", type=_thread_count, default=1,
+                   help="worker threads, at most the CPU count (output-invariant)")
 
 
 def build_parser():

@@ -19,7 +19,8 @@ from .errors import ConfigError, PathTooShort, ValidationError
 from .randgen import (TailLaw, SpectralMeasure, build_subordinator_path,
                       extend_subordinator_path, inverse_subordinator,
                       positive_stable, stream_rng)
-from .walk import renewal_count, sample_trajectory, write_trajectory_csv
+from .walk import (renewal_count, sample_trajectory, walk_endpoint,
+                   write_trajectory_csv)
 from .scaling import (classify_regime, continuous_limit_interpolation,
                       joint_partial_sums, rescaled_ensemble)
 from . import stats
@@ -138,15 +139,22 @@ def _validate(cfg: ExperimentConfig):
         if not cfg.atoms:
             raise ValidationError("atoms", "required when measure = atoms")
         try:
-            cfg.spectral_measure()
+            measure = cfg.spectral_measure()
         except (ValueError, IndexError) as exc:
             raise ValidationError("atoms", str(exc))
+        if measure.dimension != cfg.d:
+            raise ValidationError("atoms", f"atoms have dimension {measure.dimension}, d = {cfg.d}")
     if len(cfg.n_grid) < 1 or any(b <= a for a, b in zip(cfg.n_grid, cfg.n_grid[1:])):
         raise ValidationError("n_grid", "must be strictly increasing")
     if any(n < 1 for n in cfg.n_grid):
         raise ValidationError("n_grid", "scales must be >= 1")
     if any(t <= 0.0 for t in cfg.t_grid):
         raise ValidationError("t_grid", "times must be positive")
+    if len({_ensemble_name(1, t) for t in cfg.t_grid}) < len(cfg.t_grid):
+        raise ValidationError("t_grid", "times must have distinct ensemble file names (`:g` format)")
+    if len(cfg.n_grid) * len(cfg.t_grid) > TRAJ_STREAM - SIM_STREAM:
+        raise ValidationError("t_grid", f"n_grid x t_grid may hold at most "
+                              f"{TRAJ_STREAM - SIM_STREAM} (n, t) pairs, one stream each")
     if cfg.n_samples < 1:
         raise ValidationError("n_samples", "must be >= 1")
     if not 0 <= cfg.seed < 2**64:
@@ -237,8 +245,7 @@ def _counting_limit_rows(cfg, threads, alpha=0.5, n=10**6, n_traj=10**4,
 
     def fill_count(j):
         rng = stream_rng(cfg.seed, LAPLACE_STREAM + 10, j)
-        traj = sample_trajectory(law, 1.0, measure, rng, float(n))
-        counts[j] = renewal_count(traj, float(n))
+        counts[j] = walk_endpoint(law, 1.0, measure, rng, float(n))[0]
 
     from .scaling import _parallel_fill
     _parallel_fill(n_traj, threads, fill_count)
@@ -547,6 +554,10 @@ def run_suite(cfg: ExperimentConfig, suite: str, out_dir: str, threads: int = 1)
     return 0 if all(r.passed for r in rows) else 1
 
 
+def _ensemble_name(n, t):
+    return f"ensemble_n{n}_t{t:g}"
+
+
 def run_simulate(cfg: ExperimentConfig, out_dir: str, threads: int = 1) -> int:
     """Dump trajectories and rescaled ensembles for the configured model."""
     exp_dir = os.path.join(out_dir, "simulate")
@@ -560,7 +571,7 @@ def run_simulate(cfg: ExperimentConfig, out_dir: str, threads: int = 1) -> int:
         for t in cfg.t_grid:
             snap = rescaled_ensemble(dur, vel, measure, cfg.variant, n, t,
                                      cfg.n_samples, cfg.seed, stream, threads)
-            write_ensemble(exp_dir, f"ensemble_n{n}_t{t:g}", snap)
+            write_ensemble(exp_dir, _ensemble_name(n, t), snap)
             stream += 1
     regime = classify_regime(cfg.alpha, cfg.beta)
     horizon = regime.time_norm(cfg.n_grid[0]) * max(cfg.t_grid)

@@ -160,7 +160,16 @@ def sample_direction(measure: SpectralMeasure, rng, size=None):
             out = np.where(rng.random(n) < 0.5, -1.0, 1.0)[:, None]
         else:
             g = rng.standard_normal((n, d))
-            out = g / np.linalg.norm(g, axis=1, keepdims=True)
+            if d <= 7:
+                # np.linalg.norm adds fewer than 8 squares in order, so this
+                # column form is bit-identical to it and several times
+                # cheaper; from 8 columns numpy sums pairwise and bits differ
+                sq = g[:, 0] * g[:, 0]
+                for k in range(1, d):
+                    sq += g[:, k] * g[:, k]
+                out = g / np.sqrt(sq)[:, None]
+            else:
+                out = g / np.linalg.norm(g, axis=1, keepdims=True)
     else:
         cum = np.cumsum(measure.probs)
         idx = np.searchsorted(cum, rng.random(n) * cum[-1], side="right")

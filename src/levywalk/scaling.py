@@ -21,7 +21,7 @@ import numpy as np
 from .errors import PathTooShort
 from .randgen import (TailLaw, SpectralMeasure, SubordinatorPath, draw_pareto,
                       sample_direction, stream_rng)
-from .walk import (sample_trajectory, position_wait_first, position_jump_first,
+from .walk import (walk_endpoint, position_wait_first, position_jump_first,
                    position_continuous)
 
 __all__ = [
@@ -149,9 +149,11 @@ def rescaled_ensemble(duration_law: TailLaw, velocity_law, measure: SpectralMeas
                       stream: int = 0, threads: int = 1) -> EnsembleSnapshot:
     """N_samples independent draws of space_norm(n)^-1 * X(time_norm(n) * t).
 
-    Each sample is a fresh trajectory driven by stream_rng(seed, stream, j).
-    velocity_law may be a float for the deterministic-speed diagnostic, in
-    which case both norms are n^(1/alpha).
+    Each sample is a fresh walk driven by stream_rng(seed, stream, j) and
+    evaluated by walk_endpoint, which stores no steps but gives the same
+    values as VARIANTS[variant] on a sample_trajectory. velocity_law may be
+    a float for the deterministic-speed diagnostic, in which case both
+    norms are n^(1/alpha).
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
@@ -159,16 +161,13 @@ def rescaled_ensemble(duration_law: TailLaw, velocity_law, measure: SpectralMeas
         raise ValueError("n_samples must be >= 1")
     if t < 0.0:
         raise ValueError("t must be nonnegative")
-    evaluate = VARIANTS[variant]
     space, time_, regime_kind, beta = _norms_for(duration_law, velocity_law, n)
     horizon = time_ * t
     out = np.empty((n_samples, measure.dimension))
 
     def fill(j):
         rng = stream_rng(seed, stream, j)
-        traj = sample_trajectory(duration_law, velocity_law, measure, rng,
-                                 horizon, provenance=(seed, stream, j))
-        out[j] = evaluate(traj, horizon)
+        out[j] = walk_endpoint(duration_law, velocity_law, measure, rng, horizon, variant)[1]
 
     _parallel_fill(n_samples, threads, fill)
     return EnsembleSnapshot(

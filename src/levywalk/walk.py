@@ -11,6 +11,9 @@ P_k = sum_{i<=k} J_i. The three evaluations at physical time t:
 where N(t) = max{k : R_k <= t} counts completed steps, inclusive at ties.
 Steps are generated lazily in growing blocks because mean duration is
 infinite: memory stays proportional to the steps actually needed.
+walk_endpoint evaluates one variant at one time without keeping the
+steps; it draws the same numbers as sample_trajectory, so its values are
+bit-identical to a Trajectory's.
 """
 
 import math
@@ -23,6 +26,7 @@ from .randgen import TailLaw, SpectralMeasure, draw_pareto, sample_direction
 __all__ = [
     "Trajectory",
     "sample_trajectory",
+    "walk_endpoint",
     "expected_steps",
     "renewal_count",
     "position_wait_first",
@@ -44,7 +48,7 @@ class Trajectory:
     """One walker's steps, growable on demand when built with an rng."""
 
     def __init__(self, T, V, U, rng=None, duration_law=None, velocity_law=None,
-                 measure=None, provenance=None):
+                 measure=None):
         T = np.asarray(T, dtype=float)
         V = np.asarray(V, dtype=float)
         U = np.asarray(U, dtype=float)
@@ -59,7 +63,6 @@ class Trajectory:
         self.T = T
         self.V = V
         self.U = U
-        self.provenance = provenance
         self._rng = rng
         self._duration_law = duration_law
         self._velocity_law = velocity_law
@@ -115,10 +118,7 @@ class Trajectory:
     def _append_block(self, size):
         rng = self._rng
         T = draw_pareto(self._duration_law, rng, size)
-        if isinstance(self._velocity_law, TailLaw):
-            V = draw_pareto(self._velocity_law, rng, size)
-        else:
-            V = float(self._velocity_law) * np.ones(size)
+        V = _draw_speeds(self._velocity_law, rng, size)
         U = sample_direction(self._measure, rng, size)
         base_time = math.fsum(self._block_sums)
         base_pos = self._pos_ext[-1]
@@ -133,22 +133,83 @@ class Trajectory:
         self._pos_ext = np.vstack([self._pos_ext, new_P])
 
 
+def _draw_speeds(velocity_law, rng, size):
+    if isinstance(velocity_law, TailLaw):
+        return draw_pareto(velocity_law, rng, size)
+    return float(velocity_law) * np.ones(size)
+
+
+def _first_block_size(duration_law, horizon):
+    return int(1.3 * expected_steps(horizon, duration_law.index,
+                                    duration_law.tail_constant)) + 16
+
+
 def sample_trajectory(duration_law: TailLaw, velocity_law, measure: SpectralMeasure,
-                      rng, horizon: float, provenance=None) -> Trajectory:
+                      rng, horizon: float) -> Trajectory:
     """Fresh trajectory covering (strictly beyond) the horizon.
 
     velocity_law is a TailLaw, or a plain positive float for the
     deterministic-speed diagnostic.
     """
-    guess = int(1.3 * expected_steps(horizon, duration_law.index,
-                                     duration_law.tail_constant)) + 16
     traj = Trajectory(
         np.empty(0), np.empty(0), np.empty((0, measure.dimension)),
         rng=rng, duration_law=duration_law, velocity_law=velocity_law,
-        measure=measure, provenance=provenance)
-    traj._next_block = guess
+        measure=measure)
+    traj._next_block = _first_block_size(duration_law, horizon)
     traj.ensure_beyond(horizon)
     return traj
+
+
+def walk_endpoint(duration_law: TailLaw, velocity_law, measure: SpectralMeasure,
+                  rng, horizon: float, variant=None):
+    """(N(horizon), position at horizon) of a fresh walk, without storing its steps.
+
+    variant is "wait-first", "jump-first" or "continuous"; None counts
+    steps only and returns None for the position. The generator is read
+    exactly as sample_trajectory reads it (blocks of T, then V, then U), so
+    both equal what renewal_count and the position_* functions give on
+    sample_trajectory(duration_law, velocity_law, measure, rng, horizon)
+    bit for bit. Only the last block differs: nothing is drawn after its
+    directions, so it draws just the rows the variant reads.
+    """
+    if variant not in (None, "wait-first", "jump-first", "continuous"):
+        raise ValueError(f"unknown variant {variant!r}")
+    if horizon < 0.0:
+        raise ValueError("horizon must be nonnegative")
+    size = _first_block_size(duration_law, horizon)
+    block_sums = []
+    done = 0  # steps in the blocks before the current one
+    last = 0.0  # renewal time of step `done`
+    pos = np.zeros(measure.dimension)  # position after step `done`
+    while True:
+        T = draw_pareto(duration_law, rng, size)
+        R = math.fsum(block_sums) + np.cumsum(T)
+        if R[-1] > horizon:
+            break
+        V = _draw_speeds(velocity_law, rng, size)
+        U = sample_direction(measure, rng, size)
+        if variant is not None:
+            pos = pos + np.cumsum((V * T)[:, None] * U, axis=0)[-1]
+        block_sums.append(float(T.sum()))
+        done += size
+        last = R[-1]
+        size *= 2
+    k = int(np.searchsorted(R, horizon, side="right"))
+    if variant is None:
+        return done + k, None
+    # steps 1..k of this block are complete and step k+1 straddles the horizon
+    rows = k if variant == "wait-first" else k + 1
+    V = _draw_speeds(velocity_law, rng, size)
+    U = sample_direction(measure, rng, rows)
+    jumps = (V[:rows] * T[:rows])[:, None] * U
+    if variant == "jump-first":
+        return done + k, pos + np.cumsum(jumps, axis=0)[-1]
+    if k:
+        pos = pos + np.cumsum(jumps[:k], axis=0)[-1]
+        last = R[k - 1]
+    if variant == "continuous":
+        pos = pos + (V[k] * (horizon - last)) * U[k]
+    return done + k, pos
 
 
 def renewal_count(traj: Trajectory, t):

@@ -8,6 +8,7 @@ from levywalk import (ConfigError, ExperimentConfig, SpectralMeasure, TailLaw,
                       ValidationError, parse_config, rescaled_ensemble,
                       run_simulate, run_suite)
 from levywalk.harness import ReportRow, write_ensemble, write_report_csv
+from levywalk import cli
 from levywalk.cli import main as cli_main
 
 MINIMAL = "alpha = 0.5\nbeta = 0.8\nd = 1\nvariant = wait-first\n"
@@ -87,6 +88,27 @@ class TestParseConfig:
         assert err.value.field == "atoms"
         with pytest.raises(ValidationError):
             parse_config(MINIMAL + "measure = atoms\n")  # atoms missing
+
+    def test_atoms_must_match_d(self):
+        with pytest.raises(ValidationError) as err:
+            parse_config(MINIMAL.replace("d = 1", "d = 2") +
+                         "measure = atoms\natoms = 1 @ 0 0 1\n")
+        assert err.value.field == "atoms"
+
+    def test_t_grid_names_must_differ(self):
+        for grid in ("1,1.0000001,1", "2,2.0"):
+            with pytest.raises(ValidationError) as err:
+                parse_config(MINIMAL + f"t_grid = {grid}\n")
+            assert err.value.field == "t_grid"
+
+    def test_grid_pairs_fit_their_stream_block(self):
+        # one stream per (n, t) pair below TRAJ_STREAM = 50
+        twos = "t_grid = 1,2\n"
+        cfg = parse_config(MINIMAL + "n_grid = " + ",".join(map(str, range(1, 26))) + "\n" + twos)
+        assert len(cfg.n_grid) * len(cfg.t_grid) == 50
+        with pytest.raises(ValidationError) as err:
+            parse_config(MINIMAL + "n_grid = " + ",".join(map(str, range(1, 27))) + "\n" + twos)
+        assert err.value.field == "t_grid"
 
     def test_serialize_round_trip(self):
         cfg = parse_config(MINIMAL + "n_grid = 10,20,40\nt_grid = 0.5,2\nseed = 9\n")
@@ -186,6 +208,23 @@ def test_cli_config_errors(tmp_path):
     assert cli_main(["verify", "tails", "--config", str(bad)]) == 2
     bad.write_text("alpha 0.5\n")
     assert cli_main(["simulate", "--config", str(bad)]) == 2
+
+
+def test_cli_thread_count_bounds(tmp_path, monkeypatch):
+    # run_simulate is replaced, so no thread pool starts whatever is asked
+    cfg_path = tmp_path / "cfg.txt"
+    cfg_path.write_text(SMALL_SIM)
+    seen = []
+    monkeypatch.setattr(cli, "run_simulate", lambda cfg, out, threads: seen.append(threads) or 0)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    for k in ("1", "3", "64"):
+        assert cli_main(["simulate", "--config", str(cfg_path), "--threads", k]) == 0
+    assert seen == [1, 3, 3]
+    for k in ("0", "-2"):
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["simulate", "--config", str(cfg_path), "--threads", k])
+        assert exc.value.code == 2
+    assert seen == [1, 3, 3]
 
 
 def test_cli_overrides(tmp_path):

@@ -105,6 +105,20 @@ class TestSpectralMeasure:
             assert u.shape == (5000, d)
             np.testing.assert_allclose(np.linalg.norm(u, axis=1), 1.0, rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("d", range(1, 11))
+    def test_uniform_equals_normalized_normals(self, d):
+        # pins the bytes of every direction: the cheap norm used below d = 8
+        # must equal np.linalg.norm exactly
+        u = sample_direction(SpectralMeasure.uniform(d), stream_rng(0, 903, d), 4000)
+        rng = stream_rng(0, 903, d)
+        if d == 1:
+            # the 1-d sphere {-1, +1} is drawn with a fair coin
+            ref = np.where(rng.random(4000) < 0.5, -1.0, 1.0)[:, None]
+        else:
+            g = rng.standard_normal((4000, d))
+            ref = g / np.linalg.norm(g, axis=1, keepdims=True)
+        np.testing.assert_array_equal(u, ref)
+
     def test_uniform_isotropy(self):
         u = sample_direction(SpectralMeasure.uniform(3), stream_rng(0, 902, 0), 10**5)
         # each coordinate has mean 0, variance 1/3

@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 from levywalk import (SpectralMeasure, TailLaw, Trajectory,
-                      TrajectoryExhausted, expected_steps, position_continuous,
-                      position_jump_first, position_wait_first, renewal_count,
-                      sample_trajectory, stream_rng, write_trajectory_csv)
+                      TrajectoryExhausted, draw_pareto, expected_steps,
+                      position_continuous, position_jump_first,
+                      position_wait_first, renewal_count, sample_trajectory,
+                      stream_rng, walk_endpoint, write_trajectory_csv)
 
 E1 = [1.0, 0.0]
 
@@ -145,6 +146,61 @@ def test_renewal_times_strictly_increasing_across_blocks():
     # cross-block positions stay consistent with one-shot cumulative sums
     np.testing.assert_allclose(traj.positions,
                                np.cumsum(traj.jumps(), axis=0), rtol=1e-9, atol=1e-12)
+
+
+EVALUATORS = {
+    "wait-first": position_wait_first,
+    "jump-first": position_jump_first,
+    "continuous": position_continuous,
+}
+
+
+def assert_endpoint_matches_trajectory(dur, vel, measure, rng_args, horizon):
+    traj = sample_trajectory(dur, vel, measure, stream_rng(*rng_args), horizon)
+    n = renewal_count(traj, horizon)
+    assert walk_endpoint(dur, vel, measure, stream_rng(*rng_args), horizon) == (n, None)
+    for variant, evaluate in EVALUATORS.items():
+        count, pos = walk_endpoint(dur, vel, measure, stream_rng(*rng_args), horizon, variant)
+        assert count == n
+        ref = evaluate(traj, horizon)
+        assert pos.shape == ref.shape and np.array_equal(pos, ref), variant
+
+
+@pytest.mark.parametrize("measure", [
+    SpectralMeasure.uniform(1), SpectralMeasure.uniform(2), SpectralMeasure.uniform(3),
+    SpectralMeasure.uniform(9),
+    SpectralMeasure.atoms([[1.0, 0.0], [0.0, -1.0], [0.6, 0.8]], [0.2, 0.3, 0.5]),
+], ids=["d1", "d2", "d3", "d9", "atoms"])
+@pytest.mark.parametrize("vel", [TailLaw(0.8), 2.5], ids=["pareto", "fixed"])
+def test_walk_endpoint_bit_identical_to_trajectory(measure, vel):
+    for horizon in (0.0, 0.5, 37.0, 1e4):
+        for j in range(12):
+            assert_endpoint_matches_trajectory(TailLaw(0.5), vel, measure, (0, 916, j), horizon)
+
+
+def test_walk_endpoint_when_horizon_follows_a_full_block():
+    # stream (0, 917, 0) at this horizon: its first block of 44 steps ends
+    # before the horizon and step 45, the first of the next block, straddles
+    # it, so the continuous residual starts at renewal time 44, which differs
+    # in the last bits from the block's pairwise duration sum
+    dur = TailLaw(0.5)
+    T = draw_pareto(dur, stream_rng(0, 917, 0), 44)
+    horizon = float(np.cumsum(T)[-1]) + 0.5
+    assert int(1.3 * expected_steps(horizon, 0.5)) + 16 == 44
+    assert math.fsum([T.sum()]) != np.cumsum(T)[-1]
+    traj = sample_trajectory(dur, TailLaw(0.8), SpectralMeasure.uniform(2),
+                             stream_rng(0, 917, 0), horizon)
+    assert renewal_count(traj, horizon) == 44 < len(traj.T)
+    assert_endpoint_matches_trajectory(dur, TailLaw(0.8), SpectralMeasure.uniform(2),
+                                       (0, 917, 0), horizon)
+
+
+def test_walk_endpoint_domain():
+    args = (TailLaw(0.5), TailLaw(0.8), SpectralMeasure.uniform(2), stream_rng(0, 918, 0))
+    with pytest.raises(ValueError):
+        walk_endpoint(*args, 1.0, "hop")
+    with pytest.raises(ValueError):
+        walk_endpoint(*args, -1.0)
 
 
 def test_expected_steps_matches_simulation():
