@@ -6,8 +6,9 @@ from .errors import (ConfigError, DegenerateInput, InsufficientData,
                      PathTooShort, TrajectoryExhausted, ValidationError)
 from .randgen import (SpectralMeasure, SubordinatorPath, TailLaw,
                       build_subordinator_path, draw_pareto,
-                      extend_subordinator_path, inverse_subordinator,
-                      positive_stable, sample_direction, sample_pareto,
+                      extend_subordinator_path, first_passage,
+                      inverse_subordinator, positive_stable,
+                      sample_direction, sample_pareto,
                       sample_stable_subordinator, stream_rng)
 from .walk import (Trajectory, expected_steps, position_continuous,
                    position_jump_first, position_wait_first, renewal_count,

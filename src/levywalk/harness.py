@@ -11,17 +11,17 @@ results are merged by sample index.
 import json
 import math
 import os
+import sys
 from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import ConfigError, PathTooShort, ValidationError
+from .errors import ConfigError, ValidationError
 from .randgen import (TailLaw, SpectralMeasure, build_subordinator_path,
-                      extend_subordinator_path, inverse_subordinator,
-                      positive_stable, stream_rng)
+                      first_passage, positive_stable, stream_rng)
 from .walk import (renewal_count, sample_trajectory, walk_endpoint,
                    write_trajectory_csv)
-from .scaling import (classify_regime, continuous_limit_interpolation,
+from .scaling import (CRITICAL, classify_regime, continuous_limit_interpolation,
                       joint_partial_sums, rescaled_ensemble)
 from . import stats
 
@@ -38,6 +38,10 @@ EXPONENTS_STREAM = 500
 INVARIANTS_STREAM = 600
 
 VARIANT_NAMES = ("wait-first", "jump-first", "continuous")
+
+# largest natural log a float64 holds, less a margin for the rounding of
+# the log-space overflow checks themselves
+_LOG_FLOAT_MAX = math.log(sys.float_info.max) - 1e-9
 
 
 @dataclass
@@ -155,6 +159,7 @@ def _validate(cfg: ExperimentConfig):
     if len(cfg.n_grid) * len(cfg.t_grid) > TRAJ_STREAM - SIM_STREAM:
         raise ValidationError("t_grid", f"n_grid x t_grid may hold at most "
                               f"{TRAJ_STREAM - SIM_STREAM} (n, t) pairs, one stream each")
+    _validate_norms(cfg)
     if cfg.n_samples < 1:
         raise ValidationError("n_samples", "must be >= 1")
     if not 0 <= cfg.seed < 2**64:
@@ -165,6 +170,29 @@ def _validate(cfg: ExperimentConfig):
         raise ValidationError("n_ref", "must be at least 1e5")
     if cfg.trajectories < 0:
         raise ValidationError("trajectories", "must be >= 0")
+
+
+def _validate_norms(cfg):
+    # the norms and horizons of every grid point, in log space: computed
+    # directly, n^(1/alpha) raises OverflowError and (n ln n)^(1/alpha) is inf
+    regime = classify_regime(cfg.alpha, cfg.beta)
+    log_t = math.log(max(cfg.t_grid))
+    for n in cfg.n_grid:
+        log_n = math.log(n)
+        if regime.kind == CRITICAL:
+            if n < 2:
+                raise ValidationError("n_grid", "the critical space norm (n ln n)^(1/alpha) "
+                                      "needs n >= 2")
+            log_space = (log_n + math.log(log_n)) / cfg.alpha
+        else:
+            log_space = log_n / regime.alpha_star
+        log_time = log_n / cfg.alpha
+        if max(log_space, log_time) >= _LOG_FLOAT_MAX:
+            raise ValidationError("n_grid", f"the space or time norm overflows a float "
+                                  f"at n = {n}, alpha = {cfg.alpha}, beta = {cfg.beta}")
+        if log_time + log_t >= _LOG_FLOAT_MAX:
+            raise ValidationError("t_grid", f"the horizon n^(1/alpha) * t overflows a float "
+                                  f"at n = {n}, t = {max(cfg.t_grid)}")
 
 
 @dataclass
@@ -189,6 +217,9 @@ def write_report_csv(path, rows):
 
 
 def write_ensemble(dirpath, name, snap):
+    if not (np.isfinite(snap.values).all() and math.isfinite(snap.space_norm)
+            and math.isfinite(snap.time_norm)):
+        raise ValueError(f"ensemble {name} holds a non-finite value or norm; nothing written")
     csv_path = os.path.join(dirpath, name + ".csv")
     with open(csv_path, "w", newline="\n") as fh:
         cols = ["sample_index"] + [f"coordinate_{i+1}" for i in range(snap.dimension)]
@@ -259,14 +290,7 @@ def _counting_limit_rows(cfg, threads, alpha=0.5, n=10**6, n_traj=10**4,
     tau = np.empty((n_paths, 3))
 
     def fill_inverse(j):
-        rng = stream_rng(cfg.seed, LAPLACE_STREAM + 11, j)
-        path = build_subordinator_path(alpha, 2.0, fine, rng)
-        while True:
-            try:
-                tf = inverse_subordinator(path, t)
-                break
-            except PathTooShort:
-                path = extend_subordinator_path(path, rng, path.tau_max)
+        tf = first_passage(alpha, fine, t, stream_rng(cfg.seed, LAPLACE_STREAM + 11, j), 2.0)
         k = int(round(tf / fine))
         tau[j] = [fine * (k + (-k) % 4), fine * (k + (-k) % 2), tf]
 
@@ -597,12 +621,18 @@ def aggregate_reports(out_dir: str) -> int:
     for path in sorted(found):
         with open(path) as fh:
             rows = fh.read().splitlines()[1:]
-        n_fail = sum(1 for r in rows if r.rsplit(",", 1)[-1] == "fail")
+        failing = [r for r in rows if r.rsplit(",", 1)[-1] == "fail"]
+        n_fail = len(failing)
         total += len(rows)
         failed += n_fail
         rel = os.path.relpath(os.path.dirname(path), out_dir)
         lines.append(f"{rel},{len(rows)},{len(rows) - n_fail},{n_fail}")
         print(f"{rel}: {len(rows) - n_fail}/{len(rows)} passed")
+        for r in failing:
+            # only the parameters field may hold commas
+            test = r.split(",", 1)[0]
+            statistic, threshold = r.rsplit(",", 3)[1:3]
+            print(f"{rel}: fail {test} statistic={statistic} threshold={threshold}")
     with open(os.path.join(out_dir, "report_summary.csv"), "w", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
     print(f"total: {total - failed}/{total} passed")

@@ -1,12 +1,14 @@
+import dataclasses
 import json
+import math
 import os
 
 import numpy as np
 import pytest
 
 from levywalk import (ConfigError, ExperimentConfig, SpectralMeasure, TailLaw,
-                      ValidationError, parse_config, rescaled_ensemble,
-                      run_simulate, run_suite)
+                      ValidationError, classify_regime, parse_config,
+                      rescaled_ensemble, run_simulate, run_suite)
 from levywalk.harness import ReportRow, write_ensemble, write_report_csv
 from levywalk import cli
 from levywalk.cli import main as cli_main
@@ -110,6 +112,32 @@ class TestParseConfig:
             parse_config(MINIMAL + "n_grid = " + ",".join(map(str, range(1, 27))) + "\n" + twos)
         assert err.value.field == "t_grid"
 
+    def test_norm_overflow_names_field(self):
+        # alpha = 0.02: n^(1/alpha) = 10^350 at n = 10^7; 10^300 at 10^6 is fine
+        small = MINIMAL.replace("alpha = 0.5", "alpha = 0.02")
+        with pytest.raises(OverflowError):
+            classify_regime(0.02, 0.8).time_norm(10**7)
+        with pytest.raises(ValidationError) as err:
+            parse_config(small + "n_grid = 10000000\n")
+        assert err.value.field == "n_grid"
+        assert parse_config(small + "n_grid = 1000000\n").n_grid == (10**6,)
+        # space norm n^(1/beta) when the speeds dominate
+        with pytest.raises(ValidationError) as err:
+            parse_config(MINIMAL.replace("beta = 0.8", "beta = 0.02") + "n_grid = 10000000\n")
+        assert err.value.field == "n_grid"
+        # critical (n ln n)^(1/alpha) overflows, to inf, where n^(1/alpha) does not
+        crit = MINIMAL.replace("alpha = 0.5", "alpha = 0.022").replace("beta = 0.8", "beta = 0.022")
+        with np.errstate(over="ignore"):
+            assert classify_regime(0.022, 0.022).space_norm(10**6) == math.inf
+        for grid in ("1000000", "1,10"):  # the critical norm also needs n >= 2
+            with pytest.raises(ValidationError) as err:
+                parse_config(crit + f"n_grid = {grid}\n")
+            assert err.value.field == "n_grid"
+        # the horizon n^(1/alpha) * t
+        with pytest.raises(ValidationError) as err:
+            parse_config(small + "n_grid = 10000\nt_grid = 1e250\n")
+        assert err.value.field == "t_grid"
+
     def test_serialize_round_trip(self):
         cfg = parse_config(MINIMAL + "n_grid = 10,20,40\nt_grid = 0.5,2\nseed = 9\n")
         assert parse_config(cfg.serialize()) == cfg
@@ -140,6 +168,20 @@ def test_ensemble_writer(tmp_path):
     assert meta["alpha"] == 0.5 and meta["n"] == 50 and meta["seed"] == 3
     assert meta["N_samples"] == 12 and meta["measure"] == "uniform(d=2)"
     assert meta["space_norm"] == 2500.0
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_ensemble_writer_refuses_non_finite(tmp_path, bad):
+    snap = rescaled_ensemble(TailLaw(0.5), TailLaw(0.8), SpectralMeasure.uniform(2),
+                             "wait-first", 50, 1.0, 12, 3, 950)
+    broken = [dataclasses.replace(snap, values=snap.values.copy()),
+              dataclasses.replace(snap, space_norm=bad),
+              dataclasses.replace(snap, time_norm=bad)]
+    broken[0].values[5, 1] = bad
+    for k, b in enumerate(broken):
+        with pytest.raises(ValueError, match=f"ensemble ens{k} "):
+            write_ensemble(str(tmp_path), f"ens{k}", b)
+    assert os.listdir(tmp_path) == []
 
 
 def test_run_suite_unknown_name(tmp_path):
@@ -200,6 +242,35 @@ def test_cli_simulate_and_report(tmp_path):
     summary = (tmp_path / "runs" / "report_summary.csv").read_text().splitlines()
     assert summary[0] == "experiment,rows,passed,failed"
     assert summary[1] == "x,2,1,1"
+
+
+def test_cli_simulate_rejects_overflowing_grid(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.txt"
+    cfg_path.write_text(MINIMAL.replace("alpha = 0.5", "alpha = 0.02")
+                        + f"n_grid = 10000000\nout = {tmp_path / 'runs'}\n")
+    assert cli_main(["simulate", "--config", str(cfg_path)]) == 2
+    assert "n_grid" in capsys.readouterr().err
+    assert not (tmp_path / "runs").exists()
+
+
+def test_report_names_failing_rows(tmp_path, capsys):
+    # verify critical fails its documented log-correction-flat-noncritical row
+    cfg_path = tmp_path / "cfg.txt"
+    cfg_path.write_text(MINIMAL + f"out = {tmp_path / 'runs'}\n")
+    assert cli_main(["verify", "critical", "--config", str(cfg_path)]) == 1
+    failing = [line.split(",") for line in
+               (tmp_path / "runs" / "critical" / "report.csv").read_text().splitlines()
+               if line.endswith(",fail")]
+    assert [row[0] for row in failing] == ["log-correction-flat-noncritical"]
+    capsys.readouterr()
+    assert cli_main(["report", "--out", str(tmp_path / "runs")]) == 1
+    out = capsys.readouterr().out.splitlines()
+    test, statistic, threshold = failing[0][0], failing[0][-3], failing[0][-2]
+    assert out == ["critical: 1/2 passed",
+                   f"critical: fail {test} statistic={statistic} threshold={threshold}",
+                   "total: 1/2 passed"]
+    summary = (tmp_path / "runs" / "report_summary.csv").read_text()
+    assert summary == "experiment,rows,passed,failed\ncritical,2,1,1\n"
 
 
 def test_cli_config_errors(tmp_path):
