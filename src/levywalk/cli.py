@@ -15,7 +15,8 @@ import os
 import sys
 
 from .errors import ConfigError, ValidationError
-from .harness import SUITES, aggregate_reports, parse_config, run_simulate, run_suite
+from .harness import (SUITES, _validate, aggregate_reports, parse_config,
+                      run_simulate, run_suite)
 
 
 def _thread_count(text):
@@ -53,6 +54,7 @@ def _load_config(args):
         cfg = dataclasses.replace(cfg, seed=args.seed)
     if args.out is not None:
         cfg = dataclasses.replace(cfg, out=args.out)
+    _validate(cfg)  # replace() skips the checks parse_config ran
     return cfg
 
 

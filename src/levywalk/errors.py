@@ -24,7 +24,7 @@ class PathTooShort(RuntimeError):
 
 
 class TrajectoryExhausted(RuntimeError):
-    """A fixed trajectory ends before the queried time and cannot extend."""
+    """A trajectory ends before the queried time; it draws no further steps."""
 
 
 class DegenerateInput(ValueError):

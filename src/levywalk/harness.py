@@ -19,10 +19,12 @@ import numpy as np
 from .errors import ConfigError, ValidationError
 from .randgen import (TailLaw, SpectralMeasure, build_subordinator_path,
                       first_passage, positive_stable, stream_rng)
-from .walk import (renewal_count, sample_trajectory, walk_endpoint,
+from .walk import (position_continuous, position_jump_first, position_wait_first,
+                   renewal_count, sample_trajectory, walk_endpoint,
                    write_trajectory_csv)
-from .scaling import (CRITICAL, classify_regime, continuous_limit_interpolation,
-                      joint_partial_sums, rescaled_ensemble)
+from .scaling import (CRITICAL, VARIANTS, classify_regime,
+                      continuous_limit_interpolation, joint_partial_sums,
+                      _parallel_fill, rescaled_ensemble)
 from . import stats
 
 SUITES = ("laplace", "tails", "critical", "collapse", "exponents", "invariants")
@@ -37,7 +39,7 @@ COLLAPSE_STREAM = 400
 EXPONENTS_STREAM = 500
 INVARIANTS_STREAM = 600
 
-VARIANT_NAMES = ("wait-first", "jump-first", "continuous")
+VARIANT_NAMES = tuple(VARIANTS)
 
 # largest natural log a float64 holds, less a margin for the rounding of
 # the log-space overflow checks themselves
@@ -57,8 +59,6 @@ class ExperimentConfig:
     n_samples: int = 10000
     seed: int = 0
     out: str = "runs"
-    delta_tau: float = 1e-3
-    n_ref: int = 100000
     trajectories: int = 3
 
     def spectral_measure(self) -> SpectralMeasure:
@@ -90,8 +90,7 @@ _PARSERS = {
     "measure": str, "atoms": str,
     "n_grid": lambda s: tuple(int(x) for x in s.split(",")),
     "t_grid": lambda s: tuple(float(x) for x in s.split(",")),
-    "n_samples": int, "seed": int, "out": str,
-    "delta_tau": float, "n_ref": int, "trajectories": int,
+    "n_samples": int, "seed": int, "out": str, "trajectories": int,
 }
 
 
@@ -163,11 +162,7 @@ def _validate(cfg: ExperimentConfig):
     if cfg.n_samples < 1:
         raise ValidationError("n_samples", "must be >= 1")
     if not 0 <= cfg.seed < 2**64:
-        raise ValidationError("seed", "must fit in 64 bits")
-    if cfg.delta_tau <= 0.0:
-        raise ValidationError("delta_tau", "must be positive")
-    if cfg.n_ref < 10**5:
-        raise ValidationError("n_ref", "must be at least 1e5")
+        raise ValidationError("seed", f"must be in [0, 2^64), got {cfg.seed}")
     if cfg.trajectories < 0:
         raise ValidationError("trajectories", "must be >= 0")
 
@@ -239,7 +234,6 @@ def write_ensemble(dirpath, name, snap):
         "time_norm": snap.time_norm,
         "d": snap.dimension,
         "measure": snap.measure.describe(),
-        "is_reference": snap.is_reference,
     }
     with open(os.path.join(dirpath, name + ".json"), "w", newline="\n") as fh:
         json.dump(meta, fh, sort_keys=True, indent=2)
@@ -278,7 +272,6 @@ def _counting_limit_rows(cfg, threads, alpha=0.5, n=10**6, n_traj=10**4,
         rng = stream_rng(cfg.seed, LAPLACE_STREAM + 10, j)
         counts[j] = walk_endpoint(law, 1.0, measure, rng, float(n))[0]
 
-    from .scaling import _parallel_fill
     _parallel_fill(n_traj, threads, fill_count)
     walk_mean = float(counts.mean()) * n ** (-alpha)
 
@@ -437,7 +430,6 @@ def suite_invariants(cfg, threads=1):
 
 
 def _identity_rows(cfg, n_traj=1000, n_times=100):
-    from .walk import position_wait_first, position_jump_first, position_continuous
     dur, vel = TailLaw(cfg.alpha), TailLaw(cfg.beta)
     measure = cfg.spectral_measure()
     c = dur.tail_constant

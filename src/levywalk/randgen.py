@@ -18,11 +18,9 @@ __all__ = [
     "SpectralMeasure",
     "SubordinatorPath",
     "stream_rng",
-    "sample_pareto",
     "draw_pareto",
     "sample_direction",
     "positive_stable",
-    "sample_stable_subordinator",
     "build_subordinator_path",
     "extend_subordinator_path",
     "inverse_subordinator",
@@ -86,22 +84,18 @@ class TailLaw:
         return cls(index=index, cutoff=math.gamma(1.0 - index) ** (-1.0 / index))
 
 
-def sample_pareto(law: TailLaw, u):
-    """Invert the survival function at u in (0,1): cutoff * u^(-1/index)."""
-    if law.scale != 1.0:
-        raise ValueError("Pareto sampling requires scale == 1")
-    u = np.asarray(u, dtype=float)
-    if np.any(u <= 0.0) or np.any(u >= 1.0):
-        raise ValueError("u must lie strictly inside (0,1)")
-    out = law.cutoff * u ** (-1.0 / law.index)
-    return float(out) if out.ndim == 0 else out
-
-
 def draw_pareto(law: TailLaw, rng, size=None):
     # 1 - random() lies in (0,1], and u=1 maps to the support boundary.
     if law.scale != 1.0:
         raise ValueError("Pareto sampling requires scale == 1")
     return law.cutoff * (1.0 - rng.random(size)) ** (-1.0 / law.index)
+
+
+def _draw_speeds(velocity_law, rng, size):
+    # a TailLaw, or a plain positive float for the deterministic-speed diagnostic
+    if isinstance(velocity_law, TailLaw):
+        return draw_pareto(velocity_law, rng, size)
+    return float(velocity_law) * np.ones(size)
 
 
 class SpectralMeasure:
@@ -206,17 +200,6 @@ def _kanter(a, u, w):
     return (sin_au / np.sin(u) ** (1.0 / a)) * (sin_bu / w) ** ((1.0 - a) / a)
 
 
-def sample_stable_subordinator(alpha: float, t: float, rng):
-    """One draw of S(t), the subordinator with E[exp(-s S(t))] = exp(-t s^alpha)."""
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must be in (0,1), got {alpha}")
-    if t < 0.0:
-        raise ValueError("t must be nonnegative")
-    if t == 0.0:
-        return 0.0
-    return t ** (1.0 / alpha) * float(positive_stable(alpha, rng))
-
-
 @dataclass
 class SubordinatorPath:
     """Grid skeleton of a subordinator sample path.
@@ -280,12 +263,7 @@ def build_subordinator_path(
 def _draw_marks(m, rng, velocity_law, measure):
     if velocity_law is None or measure is None:
         raise ValueError("mark_jumps requires velocity_law and measure")
-    if isinstance(velocity_law, TailLaw):
-        v = draw_pareto(velocity_law, rng, m)
-    else:
-        v = float(velocity_law) * np.ones(m)
-    u = sample_direction(measure, rng, m)
-    return v, u
+    return _draw_speeds(velocity_law, rng, m), sample_direction(measure, rng, m)
 
 
 def extend_subordinator_path(path: SubordinatorPath, rng, extra_tau: float,

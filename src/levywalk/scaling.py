@@ -1,4 +1,4 @@
-"""Regime classification, rescaled ensembles, and limit-process proxies.
+"""Regime classification, rescaled ensembles, and limit-path helpers.
 
 The index pair (alpha, beta) of durations and speeds decides which
 normalization makes the walk converge at fixed rescaled time:
@@ -7,14 +7,12 @@ normalization makes the walk converge at fixed rescaled time:
     beta < alpha   space n^(1/beta),         independent limits
     alpha = beta   space (n log n)^(1/alpha), independent limits
 
-Operational time is always rescaled by n^(1/alpha). Limit laws are stood
-in for by the pre-limit at a large reference scale n_ref: the convergence
-theorems make that proxy exact in the limit, and it reuses the tested
-walk machinery instead of a separate stable-series sampler.
+Operational time is always rescaled by n^(1/alpha).
 """
 
+import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,7 +30,6 @@ __all__ = [
     "classify_regime",
     "EnsembleSnapshot",
     "rescaled_ensemble",
-    "limit_proxy_ensemble",
     "continuous_limit_interpolation",
     "joint_partial_sums",
     "VARIANTS",
@@ -61,11 +58,23 @@ class Regime:
         if self.kind == CRITICAL:
             if n < 2:
                 raise ValueError("critical normalization needs n >= 2")
-            return float((n * np.log(n)) ** (1.0 / self.alpha))
-        return float(n ** (1.0 / self.alpha_star))
+            return _norm(n * np.log(n), self.alpha, n)
+        return _norm(n, self.alpha_star, n)
 
     def time_norm(self, n) -> float:
-        return float(n ** (1.0 / self.alpha))
+        return _norm(n, self.alpha, n)
+
+
+def _norm(base, index, n):
+    """base^(1/index) as a float; ValueError naming n and index if it overflows."""
+    try:
+        with np.errstate(over="ignore"):
+            value = float(base ** (1.0 / index))
+    except OverflowError:
+        value = math.inf
+    if value == math.inf:
+        raise ValueError(f"the norm overflows a float at n = {n}, index = {index}")
+    return value
 
 
 def classify_regime(alpha: float, beta: float) -> Regime:
@@ -102,7 +111,6 @@ class EnsembleSnapshot:
     space_norm: float
     time_norm: float
     regime_kind: str = None
-    is_reference: bool = False
 
     @property
     def dimension(self):
@@ -121,7 +129,8 @@ def _norms_for(duration_law, velocity_law, n):
         regime = classify_regime(alpha, velocity_law.index)
         return regime.space_norm(n), regime.time_norm(n), regime.kind, velocity_law.index
     # deterministic speed: displacement scales exactly like the duration sum
-    return float(n ** (1.0 / alpha)), float(n ** (1.0 / alpha)), None, None
+    norm = _norm(n, alpha, n)
+    return norm, norm, None, None
 
 
 def _parallel_fill(n_samples, threads, fill):
@@ -174,17 +183,6 @@ def rescaled_ensemble(duration_law: TailLaw, velocity_law, measure: SpectralMeas
         values=out / space, alpha=duration_law.index, beta=beta, measure=measure,
         variant=variant, n=n, t=t, n_samples=n_samples, seed=seed, stream=stream,
         space_norm=space, time_norm=time_, regime_kind=regime_kind)
-
-
-def limit_proxy_ensemble(duration_law, velocity_law, measure, variant, t,
-                         n_samples, n_ref, seed, stream=0, threads=1) -> EnsembleSnapshot:
-    """Reference law: the pre-limit evaluated at the documented large scale n_ref."""
-    if n_ref < 10**5:
-        raise ValueError("n_ref must be at least 1e5 to stand in for the limit")
-    snap = rescaled_ensemble(duration_law, velocity_law, measure, variant,
-                             n_ref, t, n_samples, seed, stream, threads)
-    snap.is_reference = True
-    return snap
 
 
 def continuous_limit_interpolation(path: SubordinatorPath, t):

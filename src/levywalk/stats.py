@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateInput, InsufficientData
-from .scaling import CRITICAL, EnsembleSnapshot
+from .scaling import CRITICAL
 
 __all__ = [
     "TailFit",
@@ -38,6 +38,13 @@ class LogCorrectionFit:
     residual_norm: float
 
 
+def _require_finite(*arrays):
+    # sorting puts -inf first and inf and NaN last, so callers holding a
+    # sorted array pass only its ends
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise ValueError("samples must be finite")
+
+
 def hill_estimator(samples, k: int) -> TailFit:
     """Hill tail-index estimate from the k largest order statistics.
 
@@ -53,6 +60,7 @@ def hill_estimator(samples, k: int) -> TailFit:
         raise ValueError("samples must be positive")
     top = np.partition(x, x.size - k - 1)[x.size - k - 1:]
     top = np.sort(top)  # top[0] is X_(k+1)
+    _require_finite(top[-1:])
     mean_log = np.mean(np.log(top[1:]) - np.log(top[0]))
     if mean_log <= 0.0:
         raise DegenerateInput("top order statistics carry no log spacing")
@@ -75,6 +83,7 @@ def ks_distance(a, b) -> float:
     b = np.sort(np.asarray(b, dtype=float))
     if a.size == 0 or b.size == 0:
         raise ValueError("samples must be nonempty")
+    _require_finite(a[[0, -1]], b[[0, -1]])
     pooled = np.concatenate([a, b])
     fa = np.searchsorted(a, pooled, side="right") / a.size
     fb = np.searchsorted(b, pooled, side="right") / b.size
@@ -100,6 +109,7 @@ def log_correction_fit(samples, z_grid, alpha: float) -> LogCorrectionFit:
     """
     x_samples = np.sort(np.asarray(samples, dtype=float))
     z = np.asarray(z_grid, dtype=float)
+    _require_finite(x_samples[:1], x_samples[-1:], z)
     if z.size < 5 or np.any(np.diff(z) <= 0.0):
         raise InsufficientData("need a strictly increasing z grid with >= 5 points")
     tail_counts = x_samples.size - np.searchsorted(x_samples, z, side="right")
@@ -156,6 +166,7 @@ def spearman(x, y) -> float:
     y = np.asarray(y, dtype=float)
     if x.size != y.size or x.size < 3:
         raise ValueError("need two equal-length samples with at least 3 pairs")
+    _require_finite(x, y)
     rx = np.argsort(np.argsort(x))
     ry = np.argsort(np.argsort(y))
     return float(np.corrcoef(rx, ry)[0, 1])

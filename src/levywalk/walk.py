@@ -9,11 +9,11 @@ P_k = sum_{i<=k} J_i. The three evaluations at physical time t:
     continuous   W(t) = P_{N(t)} + (t - R_{N(t)}) * V_{N(t)+1} * I_{N(t)+1}
 
 where N(t) = max{k : R_k <= t} counts completed steps, inclusive at ties.
-Steps are generated lazily in growing blocks because mean duration is
-infinite: memory stays proportional to the steps actually needed.
-walk_endpoint evaluates one variant at one time without keeping the
-steps; it draws the same numbers as sample_trajectory, so its values are
-bit-identical to a Trajectory's.
+Steps are drawn in doubling blocks until one passes the horizon, because
+mean duration is infinite and no fixed count covers it; a Trajectory is
+then a plain record of the steps drawn. walk_endpoint evaluates one
+variant at one time without keeping the steps; it draws the same numbers
+as sample_trajectory, so its values are bit-identical to a Trajectory's.
 """
 
 import math
@@ -21,7 +21,8 @@ import math
 import numpy as np
 
 from .errors import TrajectoryExhausted
-from .randgen import TailLaw, SpectralMeasure, draw_pareto, sample_direction
+from .randgen import (TailLaw, SpectralMeasure, _draw_speeds, draw_pareto,
+                      sample_direction)
 
 __all__ = [
     "Trajectory",
@@ -45,10 +46,13 @@ def expected_steps(horizon: float, alpha: float, tail_constant: float = 1.0) -> 
 
 
 class Trajectory:
-    """One walker's steps, growable on demand when built with an rng."""
+    """One walker's steps as plain arrays: T, V, U, renewal times and positions.
 
-    def __init__(self, T, V, U, rng=None, duration_law=None, velocity_law=None,
-                 measure=None):
+    Built from given step arrays, or by sample_trajectory. It covers
+    [0, total_duration]; queries past that raise TrajectoryExhausted.
+    """
+
+    def __init__(self, T, V, U):
         T = np.asarray(T, dtype=float)
         V = np.asarray(V, dtype=float)
         U = np.asarray(U, dtype=float)
@@ -60,25 +64,16 @@ class Trajectory:
             raise ValueError("durations and speeds must be positive")
         if len(U) and np.any(np.abs(np.linalg.norm(U, axis=1) - 1.0) > 1e-12):
             raise ValueError("directions must have unit norm within 1e-12")
+        pos = np.cumsum((V * T)[:, None] * U, axis=0)
+        self._assign(T, V, U, np.cumsum(T), np.vstack([np.zeros((1, U.shape[1])), pos]))
+
+    def _assign(self, T, V, U, renewal_times, pos_ext):
         self.T = T
         self.V = V
         self.U = U
-        self._rng = rng
-        self._duration_law = duration_law
-        self._velocity_law = velocity_law
-        self._measure = measure
-        # cross-block totals are compensated through fsum over exact block sums
-        self._block_sums = [float(T.sum())] if len(T) else []
-        self._next_block = max(64, len(T))
-        self._rebuild(base_time=0.0, base_pos=None)
-
-    def _rebuild(self, base_time, base_pos):
-        jumps = (self.V * self.T)[:, None] * self.U
-        self.renewal_times = base_time + np.cumsum(self.T)
-        pos = np.cumsum(jumps, axis=0)
-        if base_pos is not None:
-            pos += base_pos
-        self._pos_ext = np.vstack([np.zeros((1, self.U.shape[1])), pos])
+        self.renewal_times = renewal_times
+        self._pos_ext = pos_ext  # row k is the position after k steps
+        return self
 
     @property
     def dimension(self):
@@ -95,49 +90,6 @@ class Trajectory:
     def total_duration(self):
         return self.renewal_times[-1] if len(self.T) else 0.0
 
-    def ensure_beyond(self, t: float):
-        """Grow until total duration strictly exceeds t, so step N(t)+1 exists."""
-        self._grow(t, strict=True)
-
-    def ensure_reaches(self, t: float):
-        """Grow until total duration covers t; enough for counting N(t)."""
-        self._grow(t, strict=False)
-
-    def _grow(self, t, strict):
-        def short():
-            return self.total_duration <= t if strict else self.total_duration < t
-        if not short():
-            return
-        if self._rng is None:
-            raise TrajectoryExhausted(
-                f"fixed trajectory covers [0, {self.total_duration:g}], queried {t:g}")
-        while short():
-            self._append_block(self._next_block)
-            self._next_block *= 2
-
-    def _append_block(self, size):
-        rng = self._rng
-        T = draw_pareto(self._duration_law, rng, size)
-        V = _draw_speeds(self._velocity_law, rng, size)
-        U = sample_direction(self._measure, rng, size)
-        base_time = math.fsum(self._block_sums)
-        base_pos = self._pos_ext[-1]
-        self._block_sums.append(float(T.sum()))
-        self.T = np.concatenate([self.T, T]) if len(self.T) else T
-        self.V = np.concatenate([self.V, V]) if len(self.V) else V
-        self.U = np.concatenate([self.U, U]) if len(self.U) else U
-        new_jumps = (V * T)[:, None] * U
-        new_R = base_time + np.cumsum(T)
-        new_P = base_pos + np.cumsum(new_jumps, axis=0)
-        self.renewal_times = np.concatenate([self.renewal_times, new_R])
-        self._pos_ext = np.vstack([self._pos_ext, new_P])
-
-
-def _draw_speeds(velocity_law, rng, size):
-    if isinstance(velocity_law, TailLaw):
-        return draw_pareto(velocity_law, rng, size)
-    return float(velocity_law) * np.ones(size)
-
 
 def _first_block_size(duration_law, horizon):
     return int(1.3 * expected_steps(horizon, duration_law.index,
@@ -149,15 +101,28 @@ def sample_trajectory(duration_law: TailLaw, velocity_law, measure: SpectralMeas
     """Fresh trajectory covering (strictly beyond) the horizon.
 
     velocity_law is a TailLaw, or a plain positive float for the
-    deterministic-speed diagnostic.
+    deterministic-speed diagnostic. Steps come in blocks of T, then V,
+    then U, the first of _first_block_size steps and each later one twice
+    as large, until a renewal time passes the horizon. Each block's
+    renewal times start from the fsum of the earlier blocks' durations and
+    its positions from the last position, as in walk_endpoint.
     """
-    traj = Trajectory(
-        np.empty(0), np.empty(0), np.empty((0, measure.dimension)),
-        rng=rng, duration_law=duration_law, velocity_law=velocity_law,
-        measure=measure)
-    traj._next_block = _first_block_size(duration_law, horizon)
-    traj.ensure_beyond(horizon)
-    return traj
+    if horizon < 0.0:
+        raise ValueError("horizon must be nonnegative")
+    size = _first_block_size(duration_law, horizon)
+    T, V, U, R = [], [], [], []
+    pos = [np.zeros((1, measure.dimension))]
+    block_sums = []
+    while not R or R[-1][-1] <= horizon:
+        T.append(draw_pareto(duration_law, rng, size))
+        V.append(_draw_speeds(velocity_law, rng, size))
+        U.append(sample_direction(measure, rng, size))
+        R.append(math.fsum(block_sums) + np.cumsum(T[-1]))
+        pos.append(pos[-1][-1] + np.cumsum((V[-1] * T[-1])[:, None] * U[-1], axis=0))
+        block_sums.append(float(T[-1].sum()))
+        size *= 2
+    traj = Trajectory.__new__(Trajectory)  # the blocks fixed R and P, so skip __init__
+    return traj._assign(*map(np.concatenate, (T, V, U, R, pos)))
 
 
 def walk_endpoint(duration_law: TailLaw, velocity_law, measure: SpectralMeasure,
@@ -214,10 +179,18 @@ def walk_endpoint(duration_law: TailLaw, velocity_law, measure: SpectralMeasure,
 
 def renewal_count(traj: Trajectory, t):
     """N(t): number of completed steps by time t, inclusive at renewal times."""
+    return _count(traj, t, np.greater)
+
+
+def _count(traj, t, past_end):
+    # past_end(t, end) flags what the steps cannot answer: counting may
+    # reach the end, but the other variants read step N(t)+1 as well
     t_arr = np.asarray(t, dtype=float)
     if np.any(t_arr < 0.0):
         raise ValueError("t must be nonnegative")
-    traj.ensure_reaches(float(t_arr.max()))
+    if past_end(t_arr.max(), traj.total_duration):
+        raise TrajectoryExhausted(
+            f"trajectory covers [0, {traj.total_duration:g}], queried {t_arr.max():g}")
     n = np.searchsorted(traj.renewal_times, t_arr, side="right")
     return int(n) if n.ndim == 0 else n
 
@@ -228,16 +201,13 @@ def position_wait_first(traj: Trajectory, t):
 
 
 def position_jump_first(traj: Trajectory, t):
-    # needs step N(t)+1, one past what counting requires
-    traj.ensure_beyond(float(np.max(np.asarray(t, dtype=float))))
-    n = renewal_count(traj, t)
+    n = _count(traj, t, np.greater_equal)
     return traj._pos_ext[n + 1]
 
 
 def position_continuous(traj: Trajectory, t):
-    traj.ensure_beyond(float(np.max(np.asarray(t, dtype=float))))
-    n = renewal_count(traj, t)
     t_arr = np.asarray(t, dtype=float)
+    n = _count(traj, t_arr, np.greater_equal)
     r_ext = np.concatenate([[0.0], traj.renewal_times])
     resid = t_arr - r_ext[n]
     # current segment is step n+1, stored at index n

@@ -34,8 +34,6 @@ def configs(draw):
         n_samples=draw(st.integers(1, 10**6)),
         seed=draw(st.integers(0, 2**64 - 1)),
         out=draw(st.from_regex(r"[A-Za-z0-9_./-]{1,20}", fullmatch=True)),
-        delta_tau=draw(st.floats(min_value=1e-9, max_value=1.0)),
-        n_ref=draw(st.integers(10**5, 10**9)),
         trajectories=draw(st.integers(0, 100)))
 
 

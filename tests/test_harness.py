@@ -21,8 +21,6 @@ class TestParseConfig:
         cfg = parse_config(MINIMAL)
         assert cfg.alpha == 0.5 and cfg.beta == 0.8 and cfg.d == 1
         assert cfg.variant == "wait-first"
-        assert cfg.delta_tau == 1e-3
-        assert cfg.n_ref == 10**5
         assert cfg.n_samples == 10**4
         assert cfg.seed == 0
         assert cfg.n_grid == (100, 1000, 10000)
@@ -38,14 +36,8 @@ class TestParseConfig:
             parse_config(MINIMAL.replace("alpha = 0.5", "alpha = 1.2"))
         assert err.value.field == "alpha"
         with pytest.raises(ValidationError) as err:
-            parse_config(MINIMAL + "delta_tau = -1\n")
-        assert err.value.field == "delta_tau"
-        with pytest.raises(ValidationError) as err:
             parse_config(MINIMAL + "n_grid = 100,100\n")
         assert err.value.field == "n_grid"
-        with pytest.raises(ValidationError) as err:
-            parse_config(MINIMAL + "n_ref = 999\n")
-        assert err.value.field == "n_ref"
         with pytest.raises(ValidationError) as err:
             parse_config(MINIMAL + "seed = -3\n")
         assert err.value.field == "seed"
@@ -69,9 +61,11 @@ class TestParseConfig:
         assert err.value.line == 1
 
     def test_unknown_key(self):
-        with pytest.raises(ConfigError) as err:
-            parse_config(MINIMAL + "gamma = 1.0\n")
-        assert err.value.line == 5
+        # delta_tau and n_ref were keys once, which nothing read
+        for line in ("gamma = 1.0", "delta_tau = 0.001", "n_ref = 100000"):
+            with pytest.raises(ConfigError, match="unknown key") as err:
+                parse_config(MINIMAL + line + "\n")
+            assert err.value.line == 5
 
     def test_missing_required(self):
         with pytest.raises(ValidationError) as err:
@@ -115,7 +109,7 @@ class TestParseConfig:
     def test_norm_overflow_names_field(self):
         # alpha = 0.02: n^(1/alpha) = 10^350 at n = 10^7; 10^300 at 10^6 is fine
         small = MINIMAL.replace("alpha = 0.5", "alpha = 0.02")
-        with pytest.raises(OverflowError):
+        with pytest.raises(ValueError, match="n = 10000000"):
             classify_regime(0.02, 0.8).time_norm(10**7)
         with pytest.raises(ValidationError) as err:
             parse_config(small + "n_grid = 10000000\n")
@@ -125,10 +119,11 @@ class TestParseConfig:
         with pytest.raises(ValidationError) as err:
             parse_config(MINIMAL.replace("beta = 0.8", "beta = 0.02") + "n_grid = 10000000\n")
         assert err.value.field == "n_grid"
-        # critical (n ln n)^(1/alpha) overflows, to inf, where n^(1/alpha) does not
+        # critical (n ln n)^(1/alpha) overflows where n^(1/alpha) does not
         crit = MINIMAL.replace("alpha = 0.5", "alpha = 0.022").replace("beta = 0.8", "beta = 0.022")
-        with np.errstate(over="ignore"):
-            assert classify_regime(0.022, 0.022).space_norm(10**6) == math.inf
+        assert math.isfinite(classify_regime(0.022, 0.022).time_norm(10**6))
+        with pytest.raises(ValueError, match="n = 1000000"):
+            classify_regime(0.022, 0.022).space_norm(10**6)
         for grid in ("1000000", "1,10"):  # the critical norm also needs n >= 2
             with pytest.raises(ValidationError) as err:
                 parse_config(crit + f"n_grid = {grid}\n")
@@ -296,6 +291,17 @@ def test_cli_thread_count_bounds(tmp_path, monkeypatch):
             cli_main(["simulate", "--config", str(cfg_path), "--threads", k])
         assert exc.value.code == 2
     assert seen == [1, 3, 3]
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+def test_cli_seed_override_is_validated(tmp_path, capsys, seed):
+    cfg_path = tmp_path / "cfg.txt"
+    cfg_path.write_text(SMALL_SIM)
+    out = tmp_path / "runs"
+    assert cli_main(["simulate", "--config", str(cfg_path), "--out", str(out),
+                     "--seed", seed]) == 2
+    assert capsys.readouterr().err.startswith("config validation error: seed: ")
+    assert not out.exists()
 
 
 def test_cli_overrides(tmp_path):

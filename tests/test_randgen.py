@@ -8,8 +8,8 @@ from levywalk import randgen
 from levywalk import (PathTooShort, SpectralMeasure, TailLaw,
                       build_subordinator_path, draw_pareto,
                       extend_subordinator_path, first_passage,
-                      inverse_subordinator, positive_stable, sample_direction, sample_pareto,
-                      sample_stable_subordinator, stream_rng)
+                      inverse_subordinator, positive_stable, sample_direction,
+                      stream_rng)
 
 
 def test_stream_rng_reproducible_and_disjoint():
@@ -52,19 +52,28 @@ class TestTailLaw:
         assert law.tail_constant == pytest.approx(1.0 / math.gamma(0.2))
 
 
+class FixedUniforms:
+    """Stand-in generator whose random(size) returns the given values."""
+
+    def __init__(self, values):
+        self.values = np.asarray(values, dtype=float)
+
+    def random(self, size=None):
+        return self.values
+
+
 class TestParetoSampling:
     def test_inversion_formula(self):
-        assert sample_pareto(TailLaw(0.5), 0.25) == pytest.approx(16.0)
-        assert sample_pareto(TailLaw(0.8, cutoff=2.0), 0.5) == pytest.approx(2.0 * 2.0**1.25)
-        # u -> 1 collapses to the support boundary
-        assert sample_pareto(TailLaw(0.5), 1.0 - 1e-12) == pytest.approx(1.0, abs=1e-9)
+        # draw_pareto inverts the survival at u = 1 - random()
+        np.testing.assert_allclose(draw_pareto(TailLaw(0.5), FixedUniforms([0.75]), 1), [16.0])
+        np.testing.assert_allclose(draw_pareto(TailLaw(0.8, cutoff=2.0), FixedUniforms([0.5]), 1),
+                                   [2.0 * 2.0**1.25])
+        # u = 1 is the support boundary
+        assert draw_pareto(TailLaw(0.5, cutoff=3.0), FixedUniforms([0.0]), 1)[0] == 3.0
 
     def test_domain_errors(self):
-        for u in (0.0, 1.0, -0.1, 1.1):
-            with pytest.raises(ValueError):
-                sample_pareto(TailLaw(0.5), u)
-        with pytest.raises(ValueError):
-            sample_pareto(TailLaw(0.5, scale=2.0), 0.5)
+        with pytest.raises(ValueError):  # only scale 1 is a law on [cutoff, inf)
+            draw_pareto(TailLaw(0.5, scale=2.0), FixedUniforms([0.5]), 1)
 
     def test_survival_spot_checks(self):
         # empirical survival at {2,10,100} * cutoff within 3 MC sigma
@@ -159,24 +168,6 @@ class TestPositiveStable:
             positive_stable(1.0, stream_rng(0, 903, 20))
         with pytest.raises(ValueError):
             positive_stable(0.0, stream_rng(0, 903, 20))
-
-
-class TestSubordinator:
-    def test_zero_time(self):
-        assert sample_stable_subordinator(0.5, 0.0, stream_rng(0, 904, 0)) == 0.0
-
-    def test_time_scaling_shares_draws(self):
-        s = sample_stable_subordinator(0.5, 4.0, stream_rng(0, 904, 1))
-        x = float(positive_stable(0.5, stream_rng(0, 904, 1)))
-        assert s == pytest.approx(16.0 * x, rel=1e-15)
-
-    def test_self_similarity(self):
-        from levywalk import ks_distance
-        rng = stream_rng(0, 904, 2)
-        s2 = 2.0 ** 2 * positive_stable(0.5, rng, 10**4)
-        s1 = np.array([sample_stable_subordinator(0.5, 2.0, stream_rng(0, 905, j))
-                       for j in range(10**4)])
-        assert ks_distance(s1, s2) < 0.03
 
 
 class TestSubordinatorPath:

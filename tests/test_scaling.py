@@ -7,7 +7,7 @@ from levywalk import (CRITICAL, SUBORDINATOR_DOMINATED, VELOCITY_DOMINATED,
                       PathTooShort, SpectralMeasure, SubordinatorPath, TailLaw,
                       build_subordinator_path, classify_regime,
                       continuous_limit_interpolation, joint_partial_sums,
-                      ks_distance, limit_proxy_ensemble, rescaled_ensemble,
+                      ks_distance, rescaled_ensemble,
                       stream_rng)
 
 
@@ -37,6 +37,14 @@ class TestClassifyRegime:
         # the log factor needs n >= 2
         with pytest.raises(ValueError):
             r.space_norm(1)
+
+    def test_norm_overflow_raises(self):
+        # (n ln n)^(1/alpha) overflows at alpha = 0.022, n = 10^6, before any draw
+        law, m = TailLaw(0.022), SpectralMeasure.uniform(2)
+        with pytest.raises(ValueError, match="n = 1000000, index = 0.022"):
+            rescaled_ensemble(law, law, m, "wait-first", 10**6, 1.0, 10, 0, 932)
+        with pytest.raises(ValueError, match="n = 1000000, index = 0.022"):
+            joint_partial_sums(law, law, m, 10**6, 10, 0, 932)
 
     def test_exact_equality_only(self):
         assert classify_regime(0.5, 0.5 + 1e-12).kind == SUBORDINATOR_DOMINATED
@@ -104,23 +112,13 @@ class TestRescaledEnsemble:
 
 
 class TestLimitProxy:
-    def test_reference_scale_floor(self):
-        with pytest.raises(ValueError):
-            limit_proxy_ensemble(TailLaw(0.5), TailLaw(0.8), SpectralMeasure.uniform(1),
-                                 "wait-first", 1.0, 10, 10**4, 0, 928)
-
-    def test_is_flagged_and_matches_rescaled(self):
-        args = (TailLaw(0.5), TailLaw(0.8), SpectralMeasure.uniform(1), "wait-first")
-        proxy = limit_proxy_ensemble(*args, 1.0, 20, 10**5, 0, 928)
-        direct = rescaled_ensemble(*args, 10**5, 1.0, 20, 0, 928)
-        assert proxy.is_reference and not direct.is_reference
-        np.testing.assert_array_equal(proxy.values, direct.values)
+    # the pre-limit at n = 10^5 stands in for the limit law
 
     def test_proxy_trend_across_scales(self):
         # distance to the reference law decreases, then flattens at the
         # two-sample noise floor
         args = (TailLaw(0.5), TailLaw(0.8), SpectralMeasure.uniform(1), "wait-first")
-        proxy = limit_proxy_ensemble(*args, 1.0, 1000, 10**5, 0, 922, threads=4)
+        proxy = rescaled_ensemble(*args, 10**5, 1.0, 1000, 0, 922, threads=4)
         ks = []
         for i, n in enumerate((100, 1000, 10000)):
             snap = rescaled_ensemble(*args, n, 1.0, 1000, 0, 923 + i, threads=4)
@@ -131,8 +129,8 @@ class TestLimitProxy:
 
     def test_degenerate_speed_cone_bound(self):
         m = SpectralMeasure.uniform(1)
-        proxy = limit_proxy_ensemble(TailLaw(0.5), 1.0, m, "wait-first",
-                                     0.5, 100, 10**5, 0, 929, threads=4)
+        proxy = rescaled_ensemble(TailLaw(0.5), 1.0, m, "wait-first",
+                                  10**5, 0.5, 100, 0, 929, threads=4)
         assert np.all(np.abs(proxy.values) <= 0.5)
 
     def test_jump_first_dominates_wait_first(self):

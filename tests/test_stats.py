@@ -199,3 +199,24 @@ class TestSpearman:
             spearman(np.arange(3.0), np.arange(4.0))
         with pytest.raises(ValueError):
             spearman(np.arange(2.0), np.arange(2.0))
+
+
+ESTIMATORS = {
+    "hill": lambda x, ref: hill_estimator(x, 10),
+    "ks-first": lambda x, ref: ks_distance(x, ref),
+    "ks-second": lambda x, ref: ks_distance(ref, x),
+    "log-fit": lambda x, ref: log_correction_fit(x, np.geomspace(1.5, 20.0, 5), 0.5),
+    "spearman-first": lambda x, ref: spearman(x, ref),
+    "spearman-second": lambda x, ref: spearman(ref, x),
+}
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", list(ESTIMATORS))
+def test_estimators_reject_non_finite(name, bad):
+    ref = pareto(0.5, stream_rng(0, 945, 0), 200)
+    x = ref.copy()
+    x[17] = bad
+    with pytest.raises(ValueError):
+        ESTIMATORS[name](x, ref)
+    ESTIMATORS[name](ref, ref)  # the same call on finite samples is fine

@@ -122,28 +122,46 @@ def test_continuous_is_lipschitz_with_segment_speed():
     assert steps.max() <= vmax * delta * (1.0 + 1e-9)
 
 
-def test_lazy_extension_and_determinism():
+def first_block(law, horizon):
+    return int(1.3 * expected_steps(horizon, law.index, law.tail_constant)) + 16
+
+
+def test_sampling_determinism_across_blocks():
     law, vel = TailLaw(0.5), TailLaw(0.8)
     m = SpectralMeasure.uniform(2)
-    a = sample_trajectory(law, vel, m, stream_rng(3, 913, 0), 10.0)
-    b = sample_trajectory(law, vel, m, stream_rng(3, 913, 0), 10.0)
-    np.testing.assert_array_equal(a.T, b.T)
-    np.testing.assert_array_equal(a.positions, b.positions)
-    assert a.total_duration > 10.0
-    n_before = len(a.T)
-    a.ensure_beyond(10.0)  # already covered, no growth
-    assert len(a.T) == n_before
-    far = a.total_duration * 50.0
-    n_far = renewal_count(a, far)  # triggers extension
-    assert a.total_duration >= far and n_far > n_before // 2
+    a = sample_trajectory(law, vel, m, stream_rng(3, 913, 1), 1e4)
+    b = sample_trajectory(law, vel, m, stream_rng(3, 913, 1), 1e4)
+    assert len(a.T) > first_block(law, 1e4)  # the first block ends before the horizon
+    for name in ("T", "V", "U", "renewal_times", "positions"):
+        np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+    assert a.total_duration > 1e4
+    assert renewal_count(a, 1e4) < len(a.T)
+
+
+def test_queries_past_the_end_raise():
+    traj = sample_trajectory(TailLaw(0.5), TailLaw(0.8), SpectralMeasure.uniform(2),
+                             stream_rng(3, 913, 1), 1e4)
+    end = traj.total_duration
+    # counting may reach the end; the other evaluators need the step after t
+    assert renewal_count(traj, end) == len(traj.T)
+    np.testing.assert_array_equal(position_wait_first(traj, end), traj.positions[-1])
+    for query in (renewal_count, position_wait_first):
+        with pytest.raises(TrajectoryExhausted):
+            query(traj, np.nextafter(end, math.inf))
+    for query in (position_jump_first, position_continuous):
+        with pytest.raises(TrajectoryExhausted):
+            query(traj, end)
+        with pytest.raises(TrajectoryExhausted):
+            query(traj, [0.0, end])
 
 
 def test_renewal_times_strictly_increasing_across_blocks():
-    traj = sample_trajectory(TailLaw(0.3), 1.0, SpectralMeasure.uniform(1),
-                             stream_rng(1, 914, 0), 5.0)
-    renewal_count(traj, traj.total_duration * 1000.0)
+    law = TailLaw(0.3)
+    traj = sample_trajectory(law, 1.0, SpectralMeasure.uniform(1), stream_rng(1, 914, 6), 1e5)
+    assert len(traj.T) > first_block(law, 1e5)
     assert np.all(np.diff(traj.renewal_times) > 0.0)
-    # cross-block positions stay consistent with one-shot cumulative sums
+    # cross-block totals stay consistent with one-shot cumulative sums
+    np.testing.assert_allclose(traj.renewal_times, np.cumsum(traj.T), rtol=1e-12)
     np.testing.assert_allclose(traj.positions,
                                np.cumsum(traj.jumps(), axis=0), rtol=1e-9, atol=1e-12)
 
@@ -186,7 +204,7 @@ def test_walk_endpoint_when_horizon_follows_a_full_block():
     dur = TailLaw(0.5)
     T = draw_pareto(dur, stream_rng(0, 917, 0), 44)
     horizon = float(np.cumsum(T)[-1]) + 0.5
-    assert int(1.3 * expected_steps(horizon, 0.5)) + 16 == 44
+    assert first_block(dur, horizon) == 44
     assert math.fsum([T.sum()]) != np.cumsum(T)[-1]
     traj = sample_trajectory(dur, TailLaw(0.8), SpectralMeasure.uniform(2),
                              stream_rng(0, 917, 0), horizon)
@@ -201,6 +219,8 @@ def test_walk_endpoint_domain():
         walk_endpoint(*args, 1.0, "hop")
     with pytest.raises(ValueError):
         walk_endpoint(*args, -1.0)
+    with pytest.raises(ValueError):
+        sample_trajectory(*args, -1.0)
 
 
 def test_expected_steps_matches_simulation():
