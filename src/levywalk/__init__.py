@@ -6,9 +6,8 @@ from .errors import (ConfigError, DegenerateInput, InsufficientData,
                      PathTooShort, TrajectoryExhausted, ValidationError)
 from .randgen import (SpectralMeasure, SubordinatorPath, TailLaw,
                       build_subordinator_path, draw_pareto,
-                      extend_subordinator_path, first_passage,
-                      inverse_subordinator, positive_stable,
-                      sample_direction, stream_rng)
+                      extend_subordinator_path, inverse_subordinator,
+                      positive_stable, sample_direction, stream_rng)
 from .walk import (Trajectory, expected_steps, position_continuous,
                    position_jump_first, position_wait_first, renewal_count,
                    sample_trajectory, walk_endpoint, write_trajectory_csv)

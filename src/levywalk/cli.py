@@ -4,7 +4,8 @@
     levywalk verify SUITE --config cfg.txt [--seed N] [--out DIR] [--threads K]
     levywalk report [--out DIR]
 
-verify exits 0 iff every report row passes. Rerunning with the same config
+verify exits 0 iff every report row passes; a config that cannot be read,
+parsed or validated exits 2. Rerunning with the same config
 and seed rewrites byte-identical artifacts whatever --threads is; it must
 be at least 1, and counts above os.cpu_count() are lowered to it.
 """
@@ -64,6 +65,9 @@ def main(argv=None) -> int:
         return aggregate_reports(args.out)
     try:
         cfg = _load_config(args)
+    except (OSError, UnicodeDecodeError) as exc:
+        print(f"config read error: {exc}", file=sys.stderr)
+        return 2
     except ConfigError as exc:
         print(f"config parse error: {exc}", file=sys.stderr)
         return 2

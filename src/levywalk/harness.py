@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ConfigError, ValidationError
 from .randgen import (TailLaw, SpectralMeasure, build_subordinator_path,
-                      first_passage, positive_stable, stream_rng)
+                      positive_stable, stream_rng)
 from .walk import (position_continuous, position_jump_first, position_wait_first,
                    renewal_count, sample_trajectory, walk_endpoint,
                    write_trajectory_csv)
@@ -151,8 +151,8 @@ def _validate(cfg: ExperimentConfig):
         raise ValidationError("n_grid", "must be strictly increasing")
     if any(n < 1 for n in cfg.n_grid):
         raise ValidationError("n_grid", "scales must be >= 1")
-    if any(t <= 0.0 for t in cfg.t_grid):
-        raise ValidationError("t_grid", "times must be positive")
+    if not all(0.0 < t < math.inf for t in cfg.t_grid):
+        raise ValidationError("t_grid", "times must be positive and finite")
     if len({_ensemble_name(1, t) for t in cfg.t_grid}) < len(cfg.t_grid):
         raise ValidationError("t_grid", "times must have distinct ensemble file names (`:g` format)")
     if len(cfg.n_grid) * len(cfg.t_grid) > TRAJ_STREAM - SIM_STREAM:
@@ -165,6 +165,11 @@ def _validate(cfg: ExperimentConfig):
         raise ValidationError("seed", f"must be in [0, 2^64), got {cfg.seed}")
     if cfg.trajectories < 0:
         raise ValidationError("trajectories", "must be >= 0")
+    # config.txt must parse back to the value: parse_config cuts lines at
+    # `#` and at line breaks, and strips each value
+    if "#" in cfg.out or cfg.out.strip() != cfg.out or len(cfg.out.splitlines()) > 1:
+        raise ValidationError("out", f"must hold no `#`, line break or surrounding "
+                              f"space, got {cfg.out!r}")
 
 
 def _validate_norms(cfg):
@@ -260,6 +265,18 @@ def suite_laplace(cfg, threads=1):
     return rows, []
 
 
+def _grid_passage_index(alpha, delta_tau, t, rng, size):
+    """First grid indices k with S(k * delta_tau) > t, for `size` subordinator paths.
+
+    A stable subordinator is strictly increasing and a.s. never hits a
+    fixed level, so that index is a.s. floor(E(t) / delta_tau) + 1, with E
+    the inverse subordinator. By self-similarity E(t) has the exact law
+    (t / S(1))^alpha (Meerschaert & Straka 2013): one stable draw a path.
+    """
+    e = (t / positive_stable(alpha, rng, size)) ** alpha
+    return np.floor(e / delta_tau).astype(np.int64) + 1
+
+
 def _counting_limit_rows(cfg, threads, alpha=0.5, n=10**6, n_traj=10**4,
                          delta=1e-4, n_paths=10**4, t=1.0):
     # durations normalized so the count limit is the standard inverse
@@ -275,19 +292,14 @@ def _counting_limit_rows(cfg, threads, alpha=0.5, n=10**6, n_traj=10**4,
     _parallel_fill(n_traj, threads, fill_count)
     walk_mean = float(counts.mean()) * n ** (-alpha)
 
-    # one path per sample at quarter resolution; the passage times at
+    # one passage per sample at quarter resolution; the passage times at
     # delta, delta / 2 and delta / 4 come from rounding the same first
     # passage up to each grid, so the grid-refinement gaps are pure
     # discretization quantities with the MC noise differenced away
     fine = delta / 4.0
-    tau = np.empty((n_paths, 3))
-
-    def fill_inverse(j):
-        tf = first_passage(alpha, fine, t, stream_rng(cfg.seed, LAPLACE_STREAM + 11, j), 2.0)
-        k = int(round(tf / fine))
-        tau[j] = [fine * (k + (-k) % 4), fine * (k + (-k) % 2), tf]
-
-    _parallel_fill(n_paths, threads, fill_inverse)
+    k = _grid_passage_index(alpha, fine, t,
+                            stream_rng(cfg.seed, LAPLACE_STREAM + 12, 0), n_paths)
+    tau = fine * np.column_stack([k + (-k) % 4, k + (-k) % 2, k])
     m_delta, m_half, m_quarter = (float(x) for x in tau.mean(axis=0))
     match = abs(walk_mean - m_delta) / m_delta
     gap = m_delta - m_half

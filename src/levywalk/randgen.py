@@ -24,12 +24,7 @@ __all__ = [
     "build_subordinator_path",
     "extend_subordinator_path",
     "inverse_subordinator",
-    "first_passage",
 ]
-
-# first_passage draws and transforms exponentials this many at a time, so
-# a path stops forming increments within one chunk of its first passage
-PASSAGE_CHUNK = 4096
 
 
 def stream_rng(master_seed: int, stream: int, index: int) -> np.random.Generator:
@@ -119,10 +114,11 @@ class SpectralMeasure:
             raise ValueError("need at least one atom")
         if vectors.shape[1] != dimension:
             raise ValueError("atom vectors do not match dimension")
+        # written so that NaN fails: every comparison with NaN is false
         norms = np.linalg.norm(vectors, axis=1)
-        if np.any(np.abs(norms - 1.0) > 1e-12):
+        if not np.all(np.abs(norms - 1.0) <= 1e-12):
             raise ValueError("atom vectors must have unit norm within 1e-12")
-        if np.any(probs <= 0.0) or abs(probs.sum() - 1.0) > 1e-12:
+        if not (np.all(probs > 0.0) and abs(probs.sum() - 1.0) <= 1e-12):
             raise ValueError("atom probabilities must be positive and sum to 1 within 1e-12")
         self.vectors = vectors
         self.probs = probs
@@ -301,44 +297,3 @@ def inverse_subordinator(path: SubordinatorPath, t):
         raise PathTooShort(f"path covers [0, {path.cumulative[-1]:g}], queried {t.max():g}")
     out = path.delta_tau * k
     return float(out) if out.ndim == 0 else out
-
-
-def first_passage(alpha: float, delta_tau: float, t: float, rng, tau_max: float) -> float:
-    """Grid first passage delta_tau * k, k the first index with S(k * delta_tau) > t.
-
-    Bit-identical to build_subordinator_path(alpha, tau_max, delta_tau, rng)
-    followed by extend_subordinator_path(path, rng, path.tau_max) until
-    inverse_subordinator(path, t) succeeds: it reads rng in that loop's
-    order and block sizes, but keeps no path. Each block draws all its
-    uniforms, then its exponentials PASSAGE_CHUNK at a time, and forms
-    increments only up to the chunk holding the passage, so only those
-    are checked to be positive.
-    """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must be in (0,1), got {alpha}")
-    if tau_max <= 0.0 or delta_tau <= 0.0 or delta_tau > tau_max:
-        raise ValueError("need 0 < delta_tau <= tau_max")
-    t = float(t)
-    if not 0.0 <= t < math.inf:
-        raise ValueError("t must be finite and nonnegative")
-    scale = delta_tau ** (1.0 / alpha)
-    level = np.zeros(1)  # S at the last formed grid point
-    done = 0  # increments drawn by the finished blocks
-    m = int(math.ceil(tau_max / delta_tau))
-    while True:
-        r = rng.random(m)
-        for lo in range(0, m, PASSAGE_CHUNK):
-            w = rng.standard_exponential(min(PASSAGE_CHUNK, m - lo))
-            inc = scale * _kanter(alpha, np.pi * (1.0 - r[lo:lo + w.size]), w)
-            if np.any(inc <= 0.0):
-                raise ValueError("increments must be strictly positive")
-            # prepending the level keeps the sum sequential, as one cumsum
-            # over the whole path is; level + cumsum(inc) rounds differently
-            s = np.cumsum(np.concatenate([level, inc]))
-            i = int(np.searchsorted(s, t, side="right"))
-            if i < s.size:
-                return delta_tau * (done + lo + i)
-            level = s[-1:]
-        done += m
-        # extend_subordinator_path's block for extra_tau = path.tau_max
-        m = int(math.ceil(delta_tau * done / delta_tau))

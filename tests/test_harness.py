@@ -9,7 +9,8 @@ import pytest
 from levywalk import (ConfigError, ExperimentConfig, SpectralMeasure, TailLaw,
                       ValidationError, classify_regime, parse_config,
                       rescaled_ensemble, run_simulate, run_suite)
-from levywalk.harness import ReportRow, write_ensemble, write_report_csv
+from levywalk.harness import (ReportRow, _counting_limit_rows, _validate,
+                              write_ensemble, write_report_csv)
 from levywalk import cli
 from levywalk.cli import main as cli_main
 
@@ -85,11 +86,31 @@ class TestParseConfig:
         with pytest.raises(ValidationError):
             parse_config(MINIMAL + "measure = atoms\n")  # atoms missing
 
+    @pytest.mark.parametrize("atoms", ["nan @ 1 0", "1 @ nan nan", "inf @ 1 0",
+                                       "1 @ inf 0", "0.5 @ 1 0; nan @ 0 1"])
+    def test_atoms_must_be_finite(self, atoms):
+        with pytest.raises(ValidationError) as err:
+            parse_config(MINIMAL.replace("d = 1", "d = 2") + f"measure = atoms\natoms = {atoms}\n")
+        assert err.value.field == "atoms"
+
     def test_atoms_must_match_d(self):
         with pytest.raises(ValidationError) as err:
             parse_config(MINIMAL.replace("d = 1", "d = 2") +
                          "measure = atoms\natoms = 1 @ 0 0 1\n")
         assert err.value.field == "atoms"
+
+    @pytest.mark.parametrize("grid", ["nan", "1,nan", "inf", "-inf"])
+    def test_t_grid_must_be_finite(self, grid):
+        with pytest.raises(ValidationError) as err:
+            parse_config(MINIMAL + f"t_grid = {grid}\n")
+        assert err.value.field == "t_grid"
+
+    @pytest.mark.parametrize("out", ["runs#1", "runs\n1", "runs\r1", " runs", "runs "])
+    def test_out_must_survive_the_config_file(self, out):
+        cfg = parse_config(MINIMAL)
+        with pytest.raises(ValidationError) as err:
+            _validate(dataclasses.replace(cfg, out=out))
+        assert err.value.field == "out"
 
     def test_t_grid_names_must_differ(self):
         for grid in ("1,1.0000001,1", "2,2.0"):
@@ -268,12 +289,41 @@ def test_report_names_failing_rows(tmp_path, capsys):
     assert summary == "experiment,rows,passed,failed\ncritical,2,1,1\n"
 
 
-def test_cli_config_errors(tmp_path):
+def test_cli_config_errors(tmp_path, capsys):
     bad = tmp_path / "bad.txt"
     bad.write_text("alpha = 1.5\nbeta = 0.8\nd = 1\nvariant = wait-first\n")
     assert cli_main(["verify", "tails", "--config", str(bad)]) == 2
     bad.write_text("alpha 0.5\n")
     assert cli_main(["simulate", "--config", str(bad)]) == 2
+    capsys.readouterr()
+    for unreadable in (tmp_path / "missing.txt", tmp_path):
+        assert cli_main(["simulate", "--config", str(unreadable)]) == 2
+        assert capsys.readouterr().err.startswith("config read error: ")
+    bad.write_bytes(b"alpha = \xff\n")
+    assert cli_main(["simulate", "--config", str(bad)]) == 2
+    assert capsys.readouterr().err.startswith("config read error: ")
+
+
+@pytest.mark.parametrize("field,text,args", [
+    ("t_grid", "t_grid = nan\n", []),
+    ("atoms", "measure = atoms\natoms = nan @ 1\n", []),
+    ("out", "", ["--out", "runs#1"]),
+])
+def test_cli_rejects_non_finite_and_unsafe_values(tmp_path, capsys, monkeypatch, field, text, args):
+    monkeypatch.chdir(tmp_path)
+    cfg_path = tmp_path / "cfg.txt"
+    cfg_path.write_text(MINIMAL + text)
+    assert cli_main(["simulate", "--config", str(cfg_path)] + args) == 2
+    assert capsys.readouterr().err.startswith(f"config validation error: {field}: ")
+    assert not os.path.exists("runs") and not os.path.exists("runs#1")
+
+
+def test_counting_limit_rows_thread_invariant():
+    cfg = parse_config(MINIMAL)
+    one = _counting_limit_rows(cfg, 1, n=10**3, n_traj=200, n_paths=200)
+    two = _counting_limit_rows(cfg, 2, n=10**3, n_traj=200, n_paths=200)
+    assert [r.test for r in one] == ["counting-limit-match", "counting-limit-grid-shrink"]
+    assert one == two
 
 
 def test_cli_thread_count_bounds(tmp_path, monkeypatch):

@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 from scipy import stats as sps
 
-from levywalk import randgen
 from levywalk import (PathTooShort, SpectralMeasure, TailLaw,
                       build_subordinator_path, draw_pareto,
-                      extend_subordinator_path, first_passage,
-                      inverse_subordinator, positive_stable, sample_direction,
+                      extend_subordinator_path, inverse_subordinator,
+                      ks_distance, positive_stable, sample_direction,
                       stream_rng)
+from levywalk.harness import _grid_passage_index
 
 
 def test_stream_rng_reproducible_and_disjoint():
@@ -241,96 +241,29 @@ class TestInverseSubordinator:
 
     def test_mean_matches_mittag_leffler_moment(self):
         # E[S^{-1}(1)] = 1/Gamma(1+alpha) = 2/sqrt(pi) at alpha = 1/2
-        taus = []
-        for j in range(10**4):
-            rng = stream_rng(0, 909, j)
-            p = build_subordinator_path(0.5, 2.0, 1e-3, rng)
-            while True:
-                try:
-                    taus.append(inverse_subordinator(p, 1.0))
-                    break
-                except PathTooShort:
-                    p = extend_subordinator_path(p, rng, p.tau_max)
-        mean = np.mean(taus)
+        mean = np.mean([passage_by_path(0.5, 1e-3, 1.0, stream_rng(0, 909, j), 2.0)
+                        for j in range(10**4)])
         target = 2.0 / math.sqrt(math.pi)
         assert abs(mean - target) < 0.05 * target
 
 
 def passage_by_path(alpha, delta_tau, t, rng, tau_max):
-    """The build -> inverse -> extend loop that first_passage streams."""
+    """Grid first passage above t by the build -> inverse -> extend loop."""
     path = build_subordinator_path(alpha, tau_max, delta_tau, rng)
-    extensions = 0
     while True:
         try:
-            return inverse_subordinator(path, t), extensions
+            return inverse_subordinator(path, t)
         except PathTooShort:
             path = extend_subordinator_path(path, rng, path.tau_max)
-            extensions += 1
 
 
-class FixedRng:
-    """Uniforms all 1/2 and the given exponentials, in order."""
-
-    def __init__(self, w):
-        self.w = np.asarray(w, dtype=float)
-        self.pos = 0
-
-    def random(self, m):
-        return np.full(m, 0.5)
-
-    def standard_exponential(self, k):
-        self.pos += k
-        if self.pos > self.w.size:
-            raise IndexError("read past the given exponentials")
-        return self.w[self.pos - k:self.pos]
-
-
-class TestFirstPassage:
-    @pytest.mark.parametrize("alpha", [0.2, 0.5, 0.75, 0.95])
-    @pytest.mark.parametrize("delta_tau,tau_max,t", [
-        (1e-3, 2.0, 1.0), (1e-3, 2.0, 0.0), (0.01, 0.05, 20.0), (0.07, 0.3, 5.0),
-        (0.1, 0.3, 5.0)])  # blocks of 3, 4, 7, ...: 0.1 * 3 / 0.1 rounds up
-    def test_equals_path_loop(self, alpha, delta_tau, tau_max, t):
-        extensions = []
-        for j in range(6):
-            expected, n_ext = passage_by_path(alpha, delta_tau, t, stream_rng(0, 910, j), tau_max)
-            extensions.append(n_ext)
-            got = first_passage(alpha, delta_tau, t, stream_rng(0, 910, j), tau_max)
-            assert type(got) is float and got == expected
-        if tau_max == 0.05:
-            assert max(extensions) >= 3  # several blocks after the first
-
-    @pytest.mark.parametrize("alpha", [0.3, 0.5])
-    def test_passage_on_chunk_and_block_boundaries(self, alpha, monkeypatch):
-        # blocks of 20 increments read in chunks of 8, 8 and 4
-        monkeypatch.setattr(randgen, "PASSAGE_CHUNK", 8)
-        rng = stream_rng(0, 911, 0)
-        path = build_subordinator_path(alpha, 2.5, 0.125, rng)
-        path = extend_subordinator_path(path, rng, path.tau_max)
-        path = extend_subordinator_path(path, rng, path.tau_max)
-        assert len(path.increments) == 80
-        for k in (1, 8, 9, 16, 17, 20, 21, 40, 41, 80):
-            # S(k - 1) <= t < S(k): the passage is at grid index k
-            t = path.cumulative[k - 1]
-            got = first_passage(alpha, 0.125, t, stream_rng(0, 911, 0), 2.5)
-            assert got == 0.125 * k == passage_by_path(alpha, 0.125, t, stream_rng(0, 911, 0), 2.5)[0]
-
-    def test_domain(self):
-        rng = stream_rng(0, 912, 0)
-        for t in (-0.1, math.inf, math.nan):
-            with pytest.raises(ValueError):
-                first_passage(0.5, 0.01, t, rng, 1.0)
-        with pytest.raises(ValueError):
-            first_passage(1.0, 0.01, 1.0, rng, 1.0)
-        with pytest.raises(ValueError):
-            first_passage(0.5, 2.0, 1.0, rng, 1.0)  # delta > tau_max
-
-    def test_only_formed_increments_are_checked(self, monkeypatch):
-        monkeypatch.setattr(randgen, "PASSAGE_CHUNK", 8)
-        # an infinite exponential makes a zero increment
-        w = np.ones(64)
-        w[20] = math.inf
-        x = first_passage(0.5, 1.0, 0.0, FixedRng(w), 64.0)
-        assert x == 1.0  # passage in the first chunk; increment 21 never formed
-        with pytest.raises(ValueError):
-            first_passage(0.5, 1.0, 1e9, FixedRng(w), 64.0)
+class TestExactGridPassage:
+    @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.8])
+    def test_matches_path_loop(self, alpha):
+        # both are discrete on the 0.01 grid, where two-sample KS is
+        # conservative; 1.628 * sqrt(2 / 2000) is its 1% critical value
+        n, delta_tau, t = 2000, 0.01, 1.0
+        by_path = [passage_by_path(alpha, delta_tau, t, stream_rng(0, 910, j), 2.0)
+                   for j in range(n)]
+        exact = delta_tau * _grid_passage_index(alpha, delta_tau, t, stream_rng(0, 911, 0), n)
+        assert ks_distance(by_path, exact) < 1.628 * math.sqrt(2.0 / n)
