@@ -16,8 +16,8 @@ import os
 import sys
 
 from .errors import ConfigError, ValidationError
-from .harness import (SUITES, _validate, aggregate_reports, parse_config,
-                      run_simulate, run_suite)
+from .harness import (SUITES, _validate, _validate_suite, aggregate_reports,
+                      parse_config, run_simulate, run_suite)
 
 
 def _thread_count(text):
@@ -56,6 +56,8 @@ def _load_config(args):
     if args.out is not None:
         cfg = dataclasses.replace(cfg, out=args.out)
     _validate(cfg)  # replace() skips the checks parse_config ran
+    if args.command == "verify":
+        _validate_suite(cfg, args.suite)
     return cfg
 
 

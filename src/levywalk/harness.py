@@ -11,18 +11,17 @@ results are merged by sample index.
 import json
 import math
 import os
-import sys
 from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .errors import ConfigError, ValidationError
 from .randgen import (TailLaw, SpectralMeasure, build_subordinator_path,
-                      positive_stable, stream_rng)
+                      draw_pareto, positive_stable, stream_rng)
 from .walk import (position_continuous, position_jump_first, position_wait_first,
                    renewal_count, sample_trajectory, walk_endpoint,
                    write_trajectory_csv)
-from .scaling import (CRITICAL, VARIANTS, classify_regime,
+from .scaling import (VARIANTS, classify_regime,
                       continuous_limit_interpolation, joint_partial_sums,
                       _parallel_fill, rescaled_ensemble)
 from . import stats
@@ -41,9 +40,12 @@ INVARIANTS_STREAM = 600
 
 VARIANT_NAMES = tuple(VARIANTS)
 
-# largest natural log a float64 holds, less a margin for the rounding of
-# the log-space overflow checks themselves
-_LOG_FLOAT_MAX = math.log(sys.float_info.max) - 1e-9
+# caps on what a config may ask for: an ensemble is one (n_samples, d) array
+MAX_ENSEMBLE_VALUES = 10**8
+MAX_TRAJECTORIES = 10**4
+# below this alpha the invariants suite's fixed scales overflow floats: with
+# warnings as errors, 2 of seeds 0-19 overflow at alpha = 0.04, none at 0.05
+INVARIANTS_MIN_ALPHA = 0.05
 
 
 @dataclass
@@ -161,10 +163,12 @@ def _validate(cfg: ExperimentConfig):
     _validate_norms(cfg)
     if cfg.n_samples < 1:
         raise ValidationError("n_samples", "must be >= 1")
+    if cfg.n_samples * cfg.d > MAX_ENSEMBLE_VALUES:
+        raise ValidationError("n_samples", f"n_samples x d must be <= {MAX_ENSEMBLE_VALUES}")
     if not 0 <= cfg.seed < 2**64:
         raise ValidationError("seed", f"must be in [0, 2^64), got {cfg.seed}")
-    if cfg.trajectories < 0:
-        raise ValidationError("trajectories", "must be >= 0")
+    if not 0 <= cfg.trajectories <= MAX_TRAJECTORIES:
+        raise ValidationError("trajectories", f"must be in [0, {MAX_TRAJECTORIES}]")
     # config.txt must parse back to the value: parse_config cuts lines at
     # `#` and at line breaks, and strips each value
     if "#" in cfg.out or cfg.out.strip() != cfg.out or len(cfg.out.splitlines()) > 1:
@@ -173,26 +177,15 @@ def _validate(cfg: ExperimentConfig):
 
 
 def _validate_norms(cfg):
-    # the norms and horizons of every grid point, in log space: computed
-    # directly, n^(1/alpha) raises OverflowError and (n ln n)^(1/alpha) is inf
     regime = classify_regime(cfg.alpha, cfg.beta)
-    log_t = math.log(max(cfg.t_grid))
     for n in cfg.n_grid:
-        log_n = math.log(n)
-        if regime.kind == CRITICAL:
-            if n < 2:
-                raise ValidationError("n_grid", "the critical space norm (n ln n)^(1/alpha) "
-                                      "needs n >= 2")
-            log_space = (log_n + math.log(log_n)) / cfg.alpha
-        else:
-            log_space = log_n / regime.alpha_star
-        log_time = log_n / cfg.alpha
-        if max(log_space, log_time) >= _LOG_FLOAT_MAX:
-            raise ValidationError("n_grid", f"the space or time norm overflows a float "
-                                  f"at n = {n}, alpha = {cfg.alpha}, beta = {cfg.beta}")
-        if log_time + log_t >= _LOG_FLOAT_MAX:
-            raise ValidationError("t_grid", f"the horizon n^(1/alpha) * t overflows a float "
-                                  f"at n = {n}, t = {max(cfg.t_grid)}")
+        try:
+            regime.space_norm(n)
+            time_norm = regime.time_norm(n)
+        except ValueError as exc:
+            raise ValidationError("n_grid", str(exc))
+        if time_norm * max(cfg.t_grid) == math.inf:
+            raise ValidationError("t_grid", f"the horizon n^(1/alpha) * t overflows at n = {n}")
 
 
 @dataclass
@@ -321,7 +314,7 @@ def suite_tails(cfg, threads=1):
     for i, index in enumerate((0.5, 0.8)):
         law = TailLaw(index)
         rng = stream_rng(cfg.seed, TAILS_STREAM + i, 0)
-        x = law.cutoff * (1.0 - rng.random(10**6)) ** (-1.0 / index)
+        x = draw_pareto(law, rng, 10**6)
         for mult in (2.0, 10.0, 100.0):
             z = mult * law.cutoff
             p = float(law.survival(z))
@@ -331,7 +324,7 @@ def suite_tails(cfg, threads=1):
             rows.append(_row("pareto-survival", f"index={index};x={z}", dev, 3.0, dev <= 3.0))
 
     rng = stream_rng(cfg.seed, TAILS_STREAM + 10, 0)
-    prod = (1.0 - rng.random(10**6)) ** (-2.0) * (1.0 - rng.random(10**6)) ** (-1.25)
+    prod = draw_pareto(TailLaw(0.5), rng, 10**6) * draw_pareto(TailLaw(0.8), rng, 10**6)
     fit = stats.hill_estimator(prod, 10**4)
     dev = abs(fit.estimate - 0.5)
     rows.append(_row("product-tail-hill",
@@ -339,7 +332,7 @@ def suite_tails(cfg, threads=1):
                      dev, 0.05, dev <= 0.05))
 
     rng = stream_rng(cfg.seed, TAILS_STREAM + 11, 0)
-    crit = (1.0 - rng.random(10**7)) ** (-2.0) * (1.0 - rng.random(10**7)) ** (-2.0)
+    crit = draw_pareto(TailLaw(0.5), rng, 10**7) * draw_pareto(TailLaw(0.5), rng, 10**7)
     crit_sorted = np.sort(crit)
     zs = np.array([1e2, 1e3, 1e4])
     p_hat = 1.0 - np.searchsorted(crit_sorted, zs, side="right") / crit.size
@@ -357,14 +350,14 @@ def suite_critical(cfg, threads=1):
     """Log-correction fits: critical slope matches alpha, noncritical slope is flat."""
     z_grid = np.geomspace(1e2, 1e4, 25)
     rng = stream_rng(cfg.seed, CRITICAL_STREAM, 0)
-    crit = (1.0 - rng.random(10**7)) ** (-2.0) * (1.0 - rng.random(10**7)) ** (-2.0)
+    crit = draw_pareto(TailLaw(0.5), rng, 10**7) * draw_pareto(TailLaw(0.5), rng, 10**7)
     fit = stats.log_correction_fit(crit, z_grid, 0.5)
     rel = abs(fit.slope - 0.5) / 0.5
     rows = [_row("log-correction-slope-critical",
                  f"alpha=0.5;beta=0.5;N=10000000;slope={fit.slope!r}", rel, 0.20, rel <= 0.20)]
 
     rng = stream_rng(cfg.seed, CRITICAL_STREAM + 1, 0)
-    non = (1.0 - rng.random(10**7)) ** (-2.0) * (1.0 - rng.random(10**7)) ** (-1.25)
+    non = draw_pareto(TailLaw(0.5), rng, 10**7) * draw_pareto(TailLaw(0.8), rng, 10**7)
     fit_n = stats.log_correction_fit(non, z_grid, 0.5)
     rows.append(_row("log-correction-flat-noncritical",
                      f"alpha=0.5;beta=0.8;N=10000000;slope={fit_n.slope!r};fit_se={fit_n.slope_se!r}",
@@ -470,11 +463,16 @@ def _identity_rows(cfg, n_traj=1000, n_times=100):
         scale2 = np.maximum.reduce([lhs, rhs, np.linalg.norm(u_pos, axis=1)])
         worst_speed = max(worst_speed, float((np.abs(lhs - rhs) / np.maximum(scale2, 1e-300)).max()))
 
-        # exact-tie behavior at stored renewal times
-        k_probe = min(len(traj.T) - 1, 50)
-        probes = traj.renewal_times[:k_probe]
+        # exact ties at the first 50 renewal times: N(R_k) = max{j : R_j <= R_k}
+        # exceeds k where steps too short to move R_k in float tie it; W(R_k)
+        # reads the step after the tie group, so R_k must lie below the end
+        R = traj.renewal_times
+        probes = R[:50][R[:50] < traj.total_duration]
+        if not probes.size:
+            continue
         n_at = renewal_count(traj, probes)
-        violations += int(np.sum(n_at != np.arange(1, k_probe + 1)))
+        expected = len(R) - np.argmax((R <= probes[:, None])[:, ::-1], axis=1)
+        violations += int(np.sum(n_at != expected))
         w_at = position_continuous(traj, probes)
         u_at = position_wait_first(traj, probes)
         delta = np.linalg.norm(w_at - u_at, axis=1)
@@ -557,6 +555,11 @@ def _determinism_row(cfg):
                  0.0, same)]
 
 
+def _validate_suite(cfg, suite):
+    if suite == "invariants" and cfg.alpha < INVARIANTS_MIN_ALPHA:
+        raise ValidationError("alpha", f"verify invariants needs alpha >= {INVARIANTS_MIN_ALPHA}")
+
+
 _SUITE_FUNCS = {
     "laplace": suite_laplace,
     "tails": suite_tails,
@@ -571,6 +574,7 @@ def run_suite(cfg: ExperimentConfig, suite: str, out_dir: str, threads: int = 1)
     """Run one named suite, persist artifacts and report. Returns exit status."""
     if suite not in _SUITE_FUNCS:
         raise ValueError(f"unknown suite {suite!r}; choose from {SUITES}")
+    _validate_suite(cfg, suite)
     exp_dir = os.path.join(out_dir, suite)
     os.makedirs(exp_dir, exist_ok=True)
     with open(os.path.join(exp_dir, "config.txt"), "w", newline="\n") as fh:

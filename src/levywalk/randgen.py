@@ -40,33 +40,28 @@ def stream_rng(master_seed: int, stream: int, index: int) -> np.random.Generator
 
 @dataclass(frozen=True)
 class TailLaw:
-    """One-sided power tail: survival(x) = scale * (x/cutoff)^(-index) for x >= cutoff.
+    """Pareto law: survival(x) = (x/cutoff)^(-index) for x >= cutoff.
 
     index must lie in (0,1): both durations and speeds have infinite mean.
-    scale is tail-constant bookkeeping; the Pareto sampler itself requires
-    scale == 1 (anything else is not a distribution on [cutoff, inf)).
     """
 
     index: float
-    scale: float = 1.0
     cutoff: float = 1.0
 
     def __post_init__(self):
         if not 0.0 < self.index < 1.0:
             raise ValueError(f"index must be in (0,1), got {self.index}")
-        if self.scale <= 0.0:
-            raise ValueError(f"scale must be positive, got {self.scale}")
         if self.cutoff <= 0.0:
             raise ValueError(f"cutoff must be positive, got {self.cutoff}")
 
     def survival(self, x):
         x = np.asarray(x, dtype=float)
-        return np.where(x < self.cutoff, 1.0, self.scale * (x / self.cutoff) ** (-self.index))
+        return np.where(x < self.cutoff, 1.0, (x / self.cutoff) ** (-self.index))
 
     @property
     def tail_constant(self):
-        # c in survival(x) ~ c * x^(-index)
-        return self.scale * self.cutoff**self.index
+        # c in survival(x) = c * x^(-index)
+        return self.cutoff**self.index
 
     @classmethod
     def stable_normalized(cls, index: float) -> "TailLaw":
@@ -81,8 +76,6 @@ class TailLaw:
 
 def draw_pareto(law: TailLaw, rng, size=None):
     # 1 - random() lies in (0,1], and u=1 maps to the support boundary.
-    if law.scale != 1.0:
-        raise ValueError("Pareto sampling requires scale == 1")
     return law.cutoff * (1.0 - rng.random(size)) ** (-1.0 / law.index)
 
 

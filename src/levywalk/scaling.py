@@ -58,7 +58,8 @@ class Regime:
         if self.kind == CRITICAL:
             if n < 2:
                 raise ValueError("critical normalization needs n >= 2")
-            return _norm(n * np.log(n), self.alpha, n)
+            # np.log takes no int above 2^64, float() none past 1.8e308
+            return _norm(n * np.log(float(n)) if n < 1e306 else math.inf, self.alpha, n)
         return _norm(n, self.alpha_star, n)
 
     def time_norm(self, n) -> float:

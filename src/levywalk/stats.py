@@ -34,7 +34,6 @@ class LogCorrectionFit:
     slope: float
     intercept: float
     slope_se: float
-    z_grid: np.ndarray
     residual_norm: float
 
 
@@ -128,7 +127,6 @@ def log_correction_fit(samples, z_grid, alpha: float) -> LogCorrectionFit:
         slope=float(coef[1]),
         intercept=float(coef[0]),
         slope_se=float(np.sqrt(cov[1, 1])),
-        z_grid=z,
         residual_norm=float(np.linalg.norm(resid)),
     )
 

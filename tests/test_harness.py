@@ -9,8 +9,11 @@ import pytest
 from levywalk import (ConfigError, ExperimentConfig, SpectralMeasure, TailLaw,
                       ValidationError, classify_regime, parse_config,
                       rescaled_ensemble, run_simulate, run_suite)
-from levywalk.harness import (ReportRow, _counting_limit_rows, _validate,
-                              write_ensemble, write_report_csv)
+from levywalk.harness import (INVARIANTS_MIN_ALPHA, MAX_ENSEMBLE_VALUES,
+                              MAX_TRAJECTORIES, ReportRow, _counting_limit_rows,
+                              _determinism_row, _identity_rows, _interpolation_rows,
+                              _validate, _validate_suite, write_ensemble,
+                              write_report_csv)
 from levywalk import cli
 from levywalk.cli import main as cli_main
 
@@ -153,6 +156,21 @@ class TestParseConfig:
         with pytest.raises(ValidationError) as err:
             parse_config(small + "n_grid = 10000\nt_grid = 1e250\n")
         assert err.value.field == "t_grid"
+
+    def test_sample_counts_are_capped(self):
+        # validation only: nothing is allocated
+        three = MINIMAL.replace("d = 1", "d = 3")
+        at_cap = MAX_ENSEMBLE_VALUES // 3
+        assert parse_config(three + f"n_samples = {at_cap}\n").n_samples == at_cap
+        for n_samples in (at_cap + 1, 10**15):
+            with pytest.raises(ValidationError) as err:
+                parse_config(three + f"n_samples = {n_samples}\n")
+            assert err.value.field == "n_samples"
+        assert parse_config(MINIMAL + f"trajectories = {MAX_TRAJECTORIES}\n").trajectories \
+            == MAX_TRAJECTORIES
+        with pytest.raises(ValidationError) as err:
+            parse_config(MINIMAL + f"trajectories = {MAX_TRAJECTORIES + 1}\n")
+        assert err.value.field == "trajectories"
 
     def test_serialize_round_trip(self):
         cfg = parse_config(MINIMAL + "n_grid = 10,20,40\nt_grid = 0.5,2\nseed = 9\n")
@@ -368,3 +386,44 @@ def test_experiment_config_direct():
     cfg = ExperimentConfig(alpha=0.3, beta=0.4, d=3, variant="jump-first")
     m = cfg.spectral_measure()
     assert m.is_uniform and m.dimension == 3
+
+
+def _invariants_config(alpha, seed=0):
+    return parse_config(f"alpha = {alpha}\nbeta = 0.8\nd = 2\nvariant = wait-first\n"
+                        f"n_grid = 1\nseed = {seed}\n")
+
+
+def test_identity_rows_at_float_ties():
+    # at alpha = 0.25 a giant step leaves R_k + T_(k+1) == R_k in float; at
+    # 0.05 such ties reach the trajectory's end (run in the bound test below)
+    rows = {r.test: r for r in _identity_rows(_invariants_config(0.25))}
+    assert rows["renewal-count-inclusive"].passed
+
+
+def test_cli_invariants_rejects_small_alpha(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.txt"
+    cfg_path.write_text(MINIMAL.replace("alpha = 0.5", "alpha = 0.001")
+                        + f"n_grid = 1\nout = {tmp_path / 'runs'}\n")
+    assert cli_main(["verify", "invariants", "--config", str(cfg_path)]) == 2
+    assert capsys.readouterr().err.startswith("config validation error: alpha: ")
+    assert not (tmp_path / "runs").exists()
+    # the bound belongs to the suite: the config and the other suites accept it
+    cfg = parse_config(cfg_path.read_text())
+    for suite in ("laplace", "tails", "critical", "collapse", "exponents"):
+        _validate_suite(cfg, suite)
+
+
+def test_invariants_alpha_bound_both_sides():
+    # RuntimeWarning is an error under pytest, so "clean" means no overflow
+    with pytest.raises(ValidationError) as err:
+        _validate_suite(_invariants_config(math.nextafter(INVARIANTS_MIN_ALPHA, 0.0)),
+                        "invariants")
+    assert err.value.field == "alpha"
+    for seed in (0, 1):
+        cfg = _invariants_config(INVARIANTS_MIN_ALPHA, seed)
+        _validate_suite(cfg, "invariants")
+        rows = _identity_rows(cfg) + _interpolation_rows(cfg) + _determinism_row(cfg)
+        assert len(rows) == 7
+    # one step below the bound, seed 8's identity rows overflow
+    with pytest.raises(RuntimeWarning, match="overflow"):
+        _identity_rows(_invariants_config(0.04, seed=8))

@@ -27,8 +27,6 @@ class TestTailLaw:
             with pytest.raises(ValueError):
                 TailLaw(bad)
         with pytest.raises(ValueError):
-            TailLaw(0.5, scale=0.0)
-        with pytest.raises(ValueError):
             TailLaw(0.5, cutoff=-1.0)
 
     def test_survival(self):
@@ -71,9 +69,13 @@ class TestParetoSampling:
         # u = 1 is the support boundary
         assert draw_pareto(TailLaw(0.5, cutoff=3.0), FixedUniforms([0.0]), 1)[0] == 3.0
 
-    def test_domain_errors(self):
-        with pytest.raises(ValueError):  # only scale 1 is a law on [cutoff, inf)
-            draw_pareto(TailLaw(0.5, scale=2.0), FixedUniforms([0.5]), 1)
+    @pytest.mark.parametrize("a", [0.5, 0.8])
+    def test_bitwise_inline_inversion(self, a):
+        # pins the tail suites' bytes: -1/a is exactly -2.0 or -1.25, and
+        # draw_pareto gives the floats of the bare inversion
+        assert -1.0 / a == {0.5: -2.0, 0.8: -1.25}[a]
+        inline = (1.0 - stream_rng(0, 900, 10).random(5000)) ** (-1.0 / a)
+        assert np.array_equal(draw_pareto(TailLaw(a), stream_rng(0, 900, 10), 5000), inline)
 
     def test_survival_spot_checks(self):
         # empirical survival at {2,10,100} * cutoff within 3 MC sigma
