@@ -43,9 +43,14 @@ VARIANT_NAMES = tuple(VARIANTS)
 # caps on what a config may ask for: an ensemble is one (n_samples, d) array
 MAX_ENSEMBLE_VALUES = 10**8
 MAX_TRAJECTORIES = 10**4
-# below this alpha the invariants suite's fixed scales overflow floats: with
-# warnings as errors, 2 of seeds 0-19 overflow at alpha = 0.04, none at 0.05
+# the tails and critical suites count their 10^7-sample products in pieces
+# of this many samples instead of holding them
+PRODUCT_CHUNK = 2**20
+# below these indices the invariants suite's fixed scales overflow floats:
+# with warnings as errors, at seeds 0-19, 2 seeds overflow at alpha = 0.04
+# (beta = 0.8) and 1 at beta = 0.04 (alpha = 0.5); none at 0.05
 INVARIANTS_MIN_ALPHA = 0.05
+INVARIANTS_MIN_BETA = 0.05
 
 
 @dataclass
@@ -308,6 +313,36 @@ def _counting_limit_rows(cfg, threads, alpha=0.5, n=10**6, n_traj=10**4,
     return rows
 
 
+def _product_counts_below(a, b, rng, n, z):
+    """#{X <= z_i} for each z_i, over the n products
+    X = draw_pareto(TailLaw(a), rng, n) * draw_pareto(TailLaw(b), rng, n).
+
+    The products are formed PRODUCT_CHUNK at a time, bit for bit those of
+    the one-shot expression. Its second factor starts n doubles on, and
+    random() reads one 64-bit word a double, so a copy of the bit
+    generator advanced by n words draws it. rng ends in the state the
+    one-shot draw leaves. Each chunk is sorted in place and counted with
+    searchsorted, which costs less than searching z for every sample.
+    """
+    if not isinstance(rng.bit_generator, np.random.PCG64):
+        raise TypeError(f"need a PCG64 generator to skip ahead, "
+                        f"got {type(rng.bit_generator).__name__}")
+    la, lb = TailLaw(a), TailLaw(b)
+    bits_b = np.random.PCG64()
+    bits_b.state = rng.bit_generator.state
+    rng_b = np.random.Generator(bits_b.advance(n))
+    below = np.zeros(z.size, dtype=np.int64)
+    for start in range(0, n, PRODUCT_CHUNK):
+        m = min(PRODUCT_CHUNK, n - start)
+        x = draw_pareto(la, rng, m) * draw_pareto(lb, rng_b, m)
+        if not np.isfinite(x).all():
+            raise ValueError("samples must be finite")
+        x.sort()
+        below += np.searchsorted(x, z, side="right")
+    rng.bit_generator.advance(n)
+    return below
+
+
 def suite_tails(cfg, threads=1):
     """Pareto survival spot checks, product tail index, critical-asymptote drift."""
     rows = []
@@ -332,10 +367,8 @@ def suite_tails(cfg, threads=1):
                      dev, 0.05, dev <= 0.05))
 
     rng = stream_rng(cfg.seed, TAILS_STREAM + 11, 0)
-    crit = draw_pareto(TailLaw(0.5), rng, 10**7) * draw_pareto(TailLaw(0.5), rng, 10**7)
-    crit_sorted = np.sort(crit)
     zs = np.array([1e2, 1e3, 1e4])
-    p_hat = 1.0 - np.searchsorted(crit_sorted, zs, side="right") / crit.size
+    p_hat = 1.0 - _product_counts_below(0.5, 0.5, rng, 10**7, zs) / 10**7
     ratios = p_hat / stats.product_tail_theory(zs, 0.5)
     worst_step = float(np.max(np.diff(ratios)))
     rows.append(_row("product-tail-ratio-monotone",
@@ -350,15 +383,15 @@ def suite_critical(cfg, threads=1):
     """Log-correction fits: critical slope matches alpha, noncritical slope is flat."""
     z_grid = np.geomspace(1e2, 1e4, 25)
     rng = stream_rng(cfg.seed, CRITICAL_STREAM, 0)
-    crit = draw_pareto(TailLaw(0.5), rng, 10**7) * draw_pareto(TailLaw(0.5), rng, 10**7)
-    fit = stats.log_correction_fit(crit, z_grid, 0.5)
+    below = _product_counts_below(0.5, 0.5, rng, 10**7, z_grid)
+    fit = stats.log_correction_fit_counts(10**7 - below, 10**7, z_grid, 0.5)
     rel = abs(fit.slope - 0.5) / 0.5
     rows = [_row("log-correction-slope-critical",
                  f"alpha=0.5;beta=0.5;N=10000000;slope={fit.slope!r}", rel, 0.20, rel <= 0.20)]
 
     rng = stream_rng(cfg.seed, CRITICAL_STREAM + 1, 0)
-    non = draw_pareto(TailLaw(0.5), rng, 10**7) * draw_pareto(TailLaw(0.8), rng, 10**7)
-    fit_n = stats.log_correction_fit(non, z_grid, 0.5)
+    below = _product_counts_below(0.5, 0.8, rng, 10**7, z_grid)
+    fit_n = stats.log_correction_fit_counts(10**7 - below, 10**7, z_grid, 0.5)
     rows.append(_row("log-correction-flat-noncritical",
                      f"alpha=0.5;beta=0.8;N=10000000;slope={fit_n.slope!r};fit_se={fit_n.slope_se!r}",
                      abs(fit_n.slope), 2.0 * fit_n.slope_se,
@@ -556,8 +589,12 @@ def _determinism_row(cfg):
 
 
 def _validate_suite(cfg, suite):
-    if suite == "invariants" and cfg.alpha < INVARIANTS_MIN_ALPHA:
+    if suite != "invariants":
+        return
+    if cfg.alpha < INVARIANTS_MIN_ALPHA:
         raise ValidationError("alpha", f"verify invariants needs alpha >= {INVARIANTS_MIN_ALPHA}")
+    if cfg.beta < INVARIANTS_MIN_BETA:
+        raise ValidationError("beta", f"verify invariants needs beta >= {INVARIANTS_MIN_BETA}")
 
 
 _SUITE_FUNCS = {

@@ -1,6 +1,7 @@
 """Estimators and distances that turn limit statements into numbers.
 
-All estimators are pure functions of immutable sample arrays.
+All estimators are pure functions of immutable sample arrays, or, for
+`log_correction_fit_counts`, of integer tail counts taken from them.
 """
 
 from dataclasses import dataclass
@@ -17,6 +18,7 @@ __all__ = [
     "product_tail_theory",
     "ks_distance",
     "log_correction_fit",
+    "log_correction_fit_counts",
     "scaling_exponent_fit",
     "spearman",
 ]
@@ -108,13 +110,25 @@ def log_correction_fit(samples, z_grid, alpha: float) -> LogCorrectionFit:
     """
     x_samples = np.sort(np.asarray(samples, dtype=float))
     z = np.asarray(z_grid, dtype=float)
-    _require_finite(x_samples[:1], x_samples[-1:], z)
+    _require_finite(x_samples[:1], x_samples[-1:])
+    tail_counts = x_samples.size - np.searchsorted(x_samples, z, side="right")
+    return log_correction_fit_counts(tail_counts, x_samples.size, z, alpha)
+
+
+def log_correction_fit_counts(tail_counts, n: int, z_grid, alpha: float) -> LogCorrectionFit:
+    """`log_correction_fit` from the tail counts #{X > z} of n samples at each z.
+
+    The same least squares, for callers that count a sample too large to
+    hold instead of keeping it.
+    """
+    z = np.asarray(z_grid, dtype=float)
+    _require_finite(z)
     if z.size < 5 or np.any(np.diff(z) <= 0.0):
         raise InsufficientData("need a strictly increasing z grid with >= 5 points")
-    tail_counts = x_samples.size - np.searchsorted(x_samples, z, side="right")
+    tail_counts = np.asarray(tail_counts)
     if np.count_nonzero(tail_counts) < 5:
         raise InsufficientData("fewer than 5 grid points with nonzero tail counts")
-    p_hat = tail_counts / x_samples.size
+    p_hat = tail_counts / n
     y = z**alpha * p_hat
     x = np.log(z)
     design = np.column_stack([np.ones_like(x), x])

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,12 +10,13 @@ import pytest
 from levywalk import (ConfigError, ExperimentConfig, SpectralMeasure, TailLaw,
                       ValidationError, classify_regime, parse_config,
                       rescaled_ensemble, run_simulate, run_suite)
-from levywalk.harness import (INVARIANTS_MIN_ALPHA, MAX_ENSEMBLE_VALUES,
-                              MAX_TRAJECTORIES, ReportRow, _counting_limit_rows,
-                              _determinism_row, _identity_rows, _interpolation_rows,
-                              _validate, _validate_suite, write_ensemble,
-                              write_report_csv)
-from levywalk import cli
+from levywalk.harness import (INVARIANTS_MIN_ALPHA, INVARIANTS_MIN_BETA,
+                              MAX_ENSEMBLE_VALUES, MAX_TRAJECTORIES, ReportRow,
+                              _counting_limit_rows, _determinism_row, _identity_rows,
+                              _interpolation_rows, _product_counts_below, _validate,
+                              _validate_suite, suite_critical, suite_tails,
+                              write_ensemble, write_report_csv)
+from levywalk import cli, harness
 from levywalk.cli import main as cli_main
 
 MINIMAL = "alpha = 0.5\nbeta = 0.8\nd = 1\nvariant = wait-first\n"
@@ -236,6 +238,69 @@ def test_run_suite_tails_report(tmp_path):
     assert (tmp_path / "tails" / "config.txt").read_text() == cfg.serialize()
 
 
+@pytest.mark.parametrize("a,b", [(0.5, 0.5), (0.5, 0.8)])
+def test_product_counts_match_one_shot(monkeypatch, a, b):
+    # a chunk that does not divide n leaves a short last chunk
+    monkeypatch.setattr(harness, "PRODUCT_CHUNK", 1000)
+    n = 4321
+    real, drawn = harness.draw_pareto, []
+    rng_one = np.random.default_rng(7)
+    x = real(TailLaw(a), rng_one, n) * real(TailLaw(b), rng_one, n)
+    x_sorted = np.sort(x)
+    # grid points on sample values pin the side of the count: X <= z
+    z = np.unique(np.concatenate([[0.5, 1.0, 10.0, 1e3, 1e6], x_sorted[[100, 2000, 4000]]]))
+
+    def recording_draw(law, rng, size):
+        drawn.append(real(law, rng, size))
+        return drawn[-1]
+
+    monkeypatch.setattr(harness, "draw_pareto", recording_draw)
+    rng = np.random.default_rng(7)
+    below = _product_counts_below(a, b, rng, n, z)
+    np.testing.assert_array_equal(below, np.searchsorted(x_sorted, z, side="right"))
+    assert [d.size for d in drawn[::2]] == [1000] * 4 + [321]
+    chunks = np.concatenate([p * q for p, q in zip(drawn[::2], drawn[1::2])])
+    assert chunks.tobytes() == x.tobytes()
+    assert rng.bit_generator.state == rng_one.bit_generator.state
+
+
+def test_product_counts_need_pcg64():
+    with pytest.raises(TypeError, match="PCG64"):
+        _product_counts_below(0.5, 0.5, np.random.Generator(np.random.Philox(0)), 10,
+                              np.array([10.0]))
+
+
+def test_product_counts_reject_non_finite(monkeypatch):
+    monkeypatch.setattr(harness, "PRODUCT_CHUNK", 100)
+    real = harness.draw_pareto
+    calls = []
+
+    def draw_with_inf(law, rng, size):
+        x = real(law, rng, size)
+        calls.append(size)
+        if len(calls) == 4:  # the second factor of the second chunk
+            x[17] = math.inf
+        return x
+
+    monkeypatch.setattr(harness, "draw_pareto", draw_with_inf)
+    with pytest.raises(ValueError, match="finite"):
+        _product_counts_below(0.5, 0.8, np.random.default_rng(0), 1000, np.array([10.0]))
+
+
+def test_tail_suites_memory_is_bounded():
+    # tracemalloc sees numpy's data buffers; one 10^7-sample float array is
+    # 76 MiB, so holding a whole product, or sorting one, breaks the bound
+    cfg = parse_config(MINIMAL)
+    for suite in (suite_critical, suite_tails):
+        tracemalloc.start()
+        try:
+            suite(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20, (suite.__name__, peak)
+
+
 SMALL_SIM = ("alpha = 0.5\nbeta = 0.8\nd = 2\nvariant = wait-first\n"
              "n_grid = 20,40\nt_grid = 0.5\nn_samples = 30\ntrajectories = 1\n")
 
@@ -388,8 +453,8 @@ def test_experiment_config_direct():
     assert m.is_uniform and m.dimension == 3
 
 
-def _invariants_config(alpha, seed=0):
-    return parse_config(f"alpha = {alpha}\nbeta = 0.8\nd = 2\nvariant = wait-first\n"
+def _invariants_config(alpha, seed=0, beta=0.8):
+    return parse_config(f"alpha = {alpha}\nbeta = {beta}\nd = 2\nvariant = wait-first\n"
                         f"n_grid = 1\nseed = {seed}\n")
 
 
@@ -427,3 +492,31 @@ def test_invariants_alpha_bound_both_sides():
     # one step below the bound, seed 8's identity rows overflow
     with pytest.raises(RuntimeWarning, match="overflow"):
         _identity_rows(_invariants_config(0.04, seed=8))
+
+
+def test_cli_invariants_rejects_small_beta(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.txt"
+    cfg_path.write_text(MINIMAL.replace("beta = 0.8", "beta = 0.001")
+                        + f"n_grid = 1\nout = {tmp_path / 'runs'}\n")
+    assert cli_main(["verify", "invariants", "--config", str(cfg_path)]) == 2
+    assert capsys.readouterr().err.startswith("config validation error: beta: ")
+    assert not (tmp_path / "runs").exists()
+    cfg = parse_config(cfg_path.read_text())
+    for suite in ("laplace", "tails", "critical", "collapse", "exponents"):
+        _validate_suite(cfg, suite)
+
+
+def test_invariants_beta_bound_both_sides():
+    with pytest.raises(ValidationError) as err:
+        _validate_suite(_invariants_config(0.5, beta=math.nextafter(INVARIANTS_MIN_BETA, 0.0)),
+                        "invariants")
+    assert err.value.field == "beta"
+    _validate_suite(_invariants_config(0.5), "invariants")  # the default beta = 0.8
+    for seed in (0, 7):
+        cfg = _invariants_config(0.5, seed, beta=INVARIANTS_MIN_BETA)
+        _validate_suite(cfg, "invariants")
+        rows = _identity_rows(cfg) + _interpolation_rows(cfg) + _determinism_row(cfg)
+        assert len(rows) == 7
+    # one step below the bound, seed 7's identity rows overflow
+    with pytest.raises(RuntimeWarning, match="overflow"):
+        _identity_rows(_invariants_config(0.5, seed=7, beta=0.04))

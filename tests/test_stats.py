@@ -9,6 +9,7 @@ from levywalk import (CRITICAL, DegenerateInput, EnsembleSnapshot,
                       hill_estimator, ks_distance, log_correction_fit,
                       product_tail_theory, scaling_exponent_fit, spearman,
                       stream_rng)
+from levywalk.stats import log_correction_fit_counts
 
 
 def pareto(alpha, rng, size):
@@ -147,6 +148,29 @@ class TestLogCorrectionFit:
             log_correction_fit(x, np.array([10.0, 9.0, 20.0, 30.0, 40.0]), 0.5)
         with pytest.raises(InsufficientData):
             log_correction_fit(x, np.geomspace(1e8, 1e9, 8), 0.5)  # empty tail
+
+    @staticmethod
+    def tail_counts(x, z):
+        return x.size - np.searchsorted(np.sort(x), z, side="right")
+
+    def test_counts_core_matches_samples(self):
+        rng = stream_rng(0, 943, 3)
+        x = pareto(0.5, rng, 10**5) * pareto(0.8, rng, 10**5)
+        z = np.geomspace(1e2, 1e4, 25)
+        assert (log_correction_fit_counts(self.tail_counts(x, z), x.size, z, 0.5)
+                == log_correction_fit(x, z, 0.5))
+
+    @pytest.mark.parametrize("z", [np.geomspace(10, 100, 4),
+                                   np.array([10.0, 9.0, 20.0, 30.0, 40.0]),
+                                   np.geomspace(1e8, 1e9, 8)],
+                             ids=["short-grid", "non-increasing", "empty-tail"])
+    def test_counts_core_insufficient_data(self, z):
+        x = pareto(0.5, stream_rng(0, 943, 2), 1000)
+        with pytest.raises(InsufficientData) as from_samples:
+            log_correction_fit(x, z, 0.5)
+        with pytest.raises(InsufficientData) as from_counts:
+            log_correction_fit_counts(self.tail_counts(x, z), x.size, z, 0.5)
+        assert str(from_counts.value) == str(from_samples.value)
 
 
 class TestScalingExponentFit:
