@@ -43,9 +43,9 @@ VARIANT_NAMES = tuple(VARIANTS)
 # caps on what a config may ask for: an ensemble is one (n_samples, d) array
 MAX_ENSEMBLE_VALUES = 10**8
 MAX_TRAJECTORIES = 10**4
-# the tails and critical suites count their 10^7-sample products in pieces
-# of this many samples instead of holding them
-PRODUCT_CHUNK = 2**20
+# the tails and critical suites draw their Pareto samples and products in
+# pieces of this many samples (512 KiB of doubles) instead of holding them
+PRODUCT_CHUNK = 2**16
 # below these indices the invariants suite's fixed scales overflow floats:
 # with warnings as errors, at seeds 0-19, 2 seeds overflow at alpha = 0.04
 # (beta = 0.8) and 1 at beta = 0.04 (alpha = 0.5); none at 0.05
@@ -313,16 +313,14 @@ def _counting_limit_rows(cfg, threads, alpha=0.5, n=10**6, n_traj=10**4,
     return rows
 
 
-def _product_counts_below(a, b, rng, n, z):
-    """#{X <= z_i} for each z_i, over the n products
-    X = draw_pareto(TailLaw(a), rng, n) * draw_pareto(TailLaw(b), rng, n).
+def _product_chunks(a, b, rng, n):
+    """The n products X = draw_pareto(TailLaw(a), rng, n) * draw_pareto(TailLaw(b), rng, n),
+    yielded PRODUCT_CHUNK at a time.
 
-    The products are formed PRODUCT_CHUNK at a time, bit for bit those of
-    the one-shot expression. Its second factor starts n doubles on, and
-    random() reads one 64-bit word a double, so a copy of the bit
-    generator advanced by n words draws it. rng ends in the state the
-    one-shot draw leaves. Each chunk is sorted in place and counted with
-    searchsorted, which costs less than searching z for every sample.
+    The chunks are bit for bit those of the one-shot expression. Its second
+    factor starts n doubles on, and random() reads one 64-bit word a double,
+    so a copy of the bit generator advanced by n words draws it. Once the
+    last chunk is taken, rng is in the state the one-shot draw leaves.
     """
     if not isinstance(rng.bit_generator, np.random.PCG64):
         raise TypeError(f"need a PCG64 generator to skip ahead, "
@@ -331,36 +329,75 @@ def _product_counts_below(a, b, rng, n, z):
     bits_b = np.random.PCG64()
     bits_b.state = rng.bit_generator.state
     rng_b = np.random.Generator(bits_b.advance(n))
-    below = np.zeros(z.size, dtype=np.int64)
     for start in range(0, n, PRODUCT_CHUNK):
         m = min(PRODUCT_CHUNK, n - start)
         x = draw_pareto(la, rng, m) * draw_pareto(lb, rng_b, m)
         if not np.isfinite(x).all():
             raise ValueError("samples must be finite")
+        yield x
+    rng.bit_generator.advance(n)
+
+
+def _product_counts_below(a, b, rng, n, z):
+    """#{X <= z_i} for each z_i, over the n products of _product_chunks.
+
+    Each chunk is sorted in place and counted with searchsorted, which costs
+    less than searching z for every sample.
+    """
+    below = np.zeros(z.size, dtype=np.int64)
+    for x in _product_chunks(a, b, rng, n):
         x.sort()
         below += np.searchsorted(x, z, side="right")
-    rng.bit_generator.advance(n)
     return below
 
 
+def _product_top(a, b, rng, n, k):
+    """The k + 1 largest of the n products of _product_chunks, unordered.
+
+    Kept as a running partition of (top, chunk): the same multiset as the
+    top k + 1 of the whole product, which is all a Hill estimate reads.
+    """
+    top = np.empty(0)
+    for x in _product_chunks(a, b, rng, n):
+        top = np.concatenate([top, x])
+        if top.size > k + 1:
+            top = np.partition(top, top.size - k - 1)[top.size - k - 1:]
+    return top
+
+
+def _pareto_counts_above(law, rng, n, z):
+    """#{X > z_i} for each z_i, over X = draw_pareto(law, rng, n) drawn
+    PRODUCT_CHUNK at a time (the same samples: random() reads in order)."""
+    above = np.zeros(z.size, dtype=np.int64)
+    for start in range(0, n, PRODUCT_CHUNK):
+        x = draw_pareto(law, rng, min(PRODUCT_CHUNK, n - start))
+        above += np.count_nonzero(x[:, None] > z, axis=0)
+    return above
+
+
 def suite_tails(cfg, threads=1):
-    """Pareto survival spot checks, product tail index, critical-asymptote drift."""
+    """Pareto survival spot checks, product tail index, critical-asymptote drift.
+
+    Every bulk draw streams in PRODUCT_CHUNK pieces and reduces to integer
+    counts or a top-k, so the rows equal those of whole arrays bit for bit.
+    """
     rows = []
+    n = 10**6
     for i, index in enumerate((0.5, 0.8)):
         law = TailLaw(index)
         rng = stream_rng(cfg.seed, TAILS_STREAM + i, 0)
-        x = draw_pareto(law, rng, 10**6)
-        for mult in (2.0, 10.0, 100.0):
-            z = mult * law.cutoff
+        zs = [mult * law.cutoff for mult in (2.0, 10.0, 100.0)]
+        # count / n is np.mean(x > z) exactly: an integer sum divided once
+        above = _pareto_counts_above(law, rng, n, np.array(zs))
+        for z, count in zip(zs, above):
             p = float(law.survival(z))
-            p_hat = float(np.mean(x > z))
-            se = math.sqrt(p * (1.0 - p) / x.size)
+            p_hat = int(count) / n
+            se = math.sqrt(p * (1.0 - p) / n)
             dev = abs(p_hat - p) / se
             rows.append(_row("pareto-survival", f"index={index};x={z}", dev, 3.0, dev <= 3.0))
 
     rng = stream_rng(cfg.seed, TAILS_STREAM + 10, 0)
-    prod = draw_pareto(TailLaw(0.5), rng, 10**6) * draw_pareto(TailLaw(0.8), rng, 10**6)
-    fit = stats.hill_estimator(prod, 10**4)
+    fit = stats.hill_estimator(_product_top(0.5, 0.8, rng, n, 10**4), 10**4)
     dev = abs(fit.estimate - 0.5)
     rows.append(_row("product-tail-hill",
                      f"alpha=0.5;beta=0.8;N=1000000;k=10000;estimate={fit.estimate!r}",

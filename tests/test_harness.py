@@ -13,10 +13,11 @@ from levywalk import (ConfigError, ExperimentConfig, SpectralMeasure, TailLaw,
 from levywalk.harness import (INVARIANTS_MIN_ALPHA, INVARIANTS_MIN_BETA,
                               MAX_ENSEMBLE_VALUES, MAX_TRAJECTORIES, ReportRow,
                               _counting_limit_rows, _determinism_row, _identity_rows,
-                              _interpolation_rows, _product_counts_below, _validate,
+                              _interpolation_rows, _pareto_counts_above,
+                              _product_counts_below, _product_top, _validate,
                               _validate_suite, suite_critical, suite_tails,
                               write_ensemble, write_report_csv)
-from levywalk import cli, harness
+from levywalk import cli, harness, stats
 from levywalk.cli import main as cli_main
 
 MINIMAL = "alpha = 0.5\nbeta = 0.8\nd = 1\nvariant = wait-first\n"
@@ -287,9 +288,57 @@ def test_product_counts_reject_non_finite(monkeypatch):
         _product_counts_below(0.5, 0.8, np.random.default_rng(0), 1000, np.array([10.0]))
 
 
+@pytest.mark.parametrize("index", [0.5, 0.8])
+def test_pareto_counts_match_one_shot(monkeypatch, index):
+    monkeypatch.setattr(harness, "PRODUCT_CHUNK", 1000)
+    n = 4321
+    rng_one = np.random.default_rng(11)
+    x = harness.draw_pareto(TailLaw(index), rng_one, n)
+    # grid points on sample values pin the side of the count: X > z
+    z = np.concatenate([[2.0, 10.0, 100.0], np.sort(x)[[50, 3000]]])
+    rng = np.random.default_rng(11)
+    above = _pareto_counts_above(TailLaw(index), rng, n, z)
+    assert [int(c) / n for c in above] == [float(np.mean(x > zi)) for zi in z]
+    assert rng.bit_generator.state == rng_one.bit_generator.state
+
+
+@pytest.mark.parametrize("a,b", [(0.5, 0.5), (0.5, 0.8)])
+def test_product_top_matches_one_shot(monkeypatch, a, b):
+    # k + 1 = 1501 spans two chunks of 1000, and n leaves a short last chunk
+    monkeypatch.setattr(harness, "PRODUCT_CHUNK", 1000)
+    n, k = 4321, 1500
+    rng_one = np.random.default_rng(5)
+    x = harness.draw_pareto(TailLaw(a), rng_one, n) * harness.draw_pareto(TailLaw(b), rng_one, n)
+    rng = np.random.default_rng(5)
+    top = _product_top(a, b, rng, n, k)
+    assert np.sort(top).tobytes() == np.sort(x)[-k - 1:].tobytes()
+    assert stats.hill_estimator(top, k) == stats.hill_estimator(x, k)
+    assert rng.bit_generator.state == rng_one.bit_generator.state
+
+
+def test_product_top_needs_pcg64():
+    with pytest.raises(TypeError, match="PCG64"):
+        _product_top(0.5, 0.8, np.random.Generator(np.random.Philox(0)), 100, 20)
+
+
+def test_tail_suite_reports_match_golden_bytes(tmp_path):
+    # the reports of whole-array draws at seed 0; streaming must not move a
+    # byte, and log-correction-flat-noncritical stays the documented fail
+    golden = os.path.join(os.path.dirname(__file__), "golden")
+    cfg_path = tmp_path / "cfg.txt"
+    cfg_path.write_text(MINIMAL)
+    for suite, status in (("tails", 0), ("critical", 1)):
+        assert cli_main(["verify", suite, "--config", str(cfg_path), "--seed", "0",
+                         "--out", str(tmp_path / "out")]) == status
+        with open(os.path.join(golden, f"{suite}_report_seed0.csv"), "rb") as fh:
+            expected = fh.read()
+        assert (tmp_path / "out" / suite / "report.csv").read_bytes() == expected
+
+
 def test_tail_suites_memory_is_bounded():
-    # tracemalloc sees numpy's data buffers; one 10^7-sample float array is
-    # 76 MiB, so holding a whole product, or sorting one, breaks the bound
+    # tracemalloc sees numpy's data buffers; a 10^6-sample float array is
+    # 7.6 MiB, so a whole draw with the mask or product formed from it
+    # breaks the bound
     cfg = parse_config(MINIMAL)
     for suite in (suite_critical, suite_tails):
         tracemalloc.start()
@@ -298,7 +347,7 @@ def test_tail_suites_memory_is_bounded():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 64 * 2**20, (suite.__name__, peak)
+        assert peak < 8 * 2**20, (suite.__name__, peak)
 
 
 SMALL_SIM = ("alpha = 0.5\nbeta = 0.8\nd = 2\nvariant = wait-first\n"
