@@ -76,7 +76,14 @@ class TailLaw:
 
 def draw_pareto(law: TailLaw, rng, size=None):
     # 1 - random() lies in (0,1], and u=1 maps to the support boundary.
-    return law.cutoff * (1.0 - rng.random(size)) ** (-1.0 / law.index)
+    if size is None:
+        return law.cutoff * (1.0 - rng.random()) ** (-1.0 / law.index)
+    # the same three operations, in place on the one array
+    x = rng.random(size)
+    np.subtract(1.0, x, out=x)
+    np.power(x, -1.0 / law.index, out=x)
+    x *= law.cutoff
+    return x
 
 
 def _draw_speeds(velocity_law, rng, size):
@@ -155,7 +162,10 @@ def sample_direction(measure: SpectralMeasure, rng, size=None):
                 sq = g[:, 0] * g[:, 0]
                 for k in range(1, d):
                     sq += g[:, k] * g[:, k]
-                out = g / np.sqrt(sq)[:, None]
+                r = np.sqrt(sq, out=sq)
+                for k in range(d):
+                    np.divide(g[:, k], r, out=g[:, k])
+                out = g
             else:
                 out = g / np.linalg.norm(g, axis=1, keepdims=True)
     else:

@@ -19,7 +19,7 @@ import numpy as np
 from .errors import PathTooShort
 from .randgen import (TailLaw, SpectralMeasure, SubordinatorPath, draw_pareto,
                       sample_direction, stream_rng)
-from .walk import (walk_endpoint, position_wait_first, position_jump_first,
+from .walk import (_jump_sum, walk_endpoint, position_wait_first, position_jump_first,
                    position_continuous)
 
 __all__ = [
@@ -236,7 +236,10 @@ def joint_partial_sums(duration_law: TailLaw, velocity_law: TailLaw,
         T = draw_pareto(duration_law, rng, n)
         V = draw_pareto(velocity_law, rng, n)
         U = sample_direction(measure, rng, n)
-        radial[j] = np.linalg.norm(((V * T)[:, None] * U).sum(axis=0)) / space
+        w = V * T
+        # at d = 1 sum(axis=0) adds pairwise, so a cumsum would change bits
+        jump_sum = (w[:, None] * U).sum(axis=0) if U.shape[1] == 1 else _jump_sum(w, U)
+        radial[j] = np.linalg.norm(jump_sum) / space
         dursum[j] = T.sum() / time_
 
     _parallel_fill(n_samples, threads, fill)

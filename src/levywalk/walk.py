@@ -12,8 +12,10 @@ where N(t) = max{k : R_k <= t} counts completed steps, inclusive at ties.
 Steps are drawn in doubling blocks until one passes the horizon, because
 mean duration is infinite and no fixed count covers it; a Trajectory is
 then a plain record of the steps drawn. walk_endpoint evaluates one
-variant at one time without keeping the steps; it draws the same numbers
-as sample_trajectory, so its values are bit-identical to a Trajectory's.
+variant at one time without keeping the steps. It reads the generator in
+the same blocks but draws only the words its variant reads, skipping the
+rest so that every later draw is unchanged; so its values are
+bit-identical to a Trajectory's.
 """
 
 import math
@@ -91,6 +93,11 @@ class Trajectory:
         return self.renewal_times[-1] if len(self.T) else 0.0
 
 
+# durations drawn at a time within a block, so the last block stops within
+# a piece of the horizon instead of drawing all of its steps
+PIECE = 4096
+
+
 def _first_block_size(duration_law, horizon):
     return int(1.3 * expected_steps(horizon, duration_law.index,
                                     duration_law.tail_constant)) + 16
@@ -130,31 +137,42 @@ def walk_endpoint(duration_law: TailLaw, velocity_law, measure: SpectralMeasure,
     """(N(horizon), position at horizon) of a fresh walk, without storing its steps.
 
     variant is "wait-first", "jump-first" or "continuous"; None counts
-    steps only and returns None for the position. The generator is read
-    exactly as sample_trajectory reads it (blocks of T, then V, then U), so
-    both equal what renewal_count and the position_* functions give on
+    steps only and returns None for the position. The generator is read in
+    sample_trajectory's blocks (T, then V, then U), but only the words the
+    variant reads are drawn: the rest are skipped with _skip, which leaves
+    every later draw where it was. So both equal what renewal_count and the
+    position_* functions give on
     sample_trajectory(duration_law, velocity_law, measure, rng, horizon)
-    bit for bit. Only the last block differs: nothing is drawn after its
-    directions, so it draws just the rows the variant reads.
+    bit for bit. The last block draws durations up to the piece that passes
+    the horizon and only the speeds and directions of the steps read;
+    count-only walks skip the speeds of every block, and the directions
+    too where each takes one word (d = 1, or atoms).
     """
     if variant not in (None, "wait-first", "jump-first", "continuous"):
         raise ValueError(f"unknown variant {variant!r}")
     if horizon < 0.0:
         raise ValueError("horizon must be nonnegative")
+    speed_words = isinstance(velocity_law, TailLaw)  # fixed speeds read none
+    one_word_directions = measure.dimension == 1 or not measure.is_uniform
     size = _first_block_size(duration_law, horizon)
     block_sums = []
     done = 0  # steps in the blocks before the current one
     last = 0.0  # renewal time of step `done`
     pos = np.zeros(measure.dimension)  # position after step `done`
     while True:
-        T = draw_pareto(duration_law, rng, size)
-        R = math.fsum(block_sums) + np.cumsum(T)
+        T, R = _block_durations(duration_law, rng, size, math.fsum(block_sums), horizon)
         if R[-1] > horizon:
             break
-        V = _draw_speeds(velocity_law, rng, size)
-        U = sample_direction(measure, rng, size)
-        if variant is not None:
-            pos = pos + np.cumsum((V * T)[:, None] * U, axis=0)[-1]
+        if variant is None:
+            if speed_words:
+                _skip(rng, size)
+            if one_word_directions:
+                _skip(rng, size)
+            else:
+                sample_direction(measure, rng, size)
+        else:
+            V = _draw_speeds(velocity_law, rng, size)
+            pos = pos + _jump_sum(V * T, sample_direction(measure, rng, size))
         block_sums.append(float(T.sum()))
         done += size
         last = R[-1]
@@ -164,17 +182,59 @@ def walk_endpoint(duration_law: TailLaw, velocity_law, measure: SpectralMeasure,
         return done + k, None
     # steps 1..k of this block are complete and step k+1 straddles the horizon
     rows = k if variant == "wait-first" else k + 1
-    V = _draw_speeds(velocity_law, rng, size)
+    V = _draw_speeds(velocity_law, rng, rows)
+    if speed_words:
+        _skip(rng, size - rows)
     U = sample_direction(measure, rng, rows)
-    jumps = (V[:rows] * T[:rows])[:, None] * U
     if variant == "jump-first":
-        return done + k, pos + np.cumsum(jumps, axis=0)[-1]
+        return done + k, pos + _jump_sum(V * T[:rows], U)
     if k:
-        pos = pos + np.cumsum(jumps[:k], axis=0)[-1]
+        pos = pos + _jump_sum(V[:k] * T[:k], U[:k])
         last = R[k - 1]
     if variant == "continuous":
         pos = pos + (V[k] * (horizon - last)) * U[k]
     return done + k, pos
+
+
+def _block_durations(law, rng, size, start, horizon):
+    """One block's durations and renewal times from `start`, PIECE at a time.
+
+    Drawing stops after the first piece whose last renewal time passes the
+    horizon; the block's remaining duration words are skipped, so the
+    generator ends where a whole block leaves it. The within-block sums are
+    carried from piece to piece, which adds in the order of one cumsum.
+    """
+    T, C = [], []
+    carry = 0.0
+    for lo in range(0, size, PIECE):
+        x = draw_pareto(law, rng, min(PIECE, size - lo))
+        T.append(x)
+        C.append(np.cumsum(np.concatenate(([carry], x)))[1:])
+        carry = C[-1][-1]
+        if start + carry > horizon:
+            _skip(rng, size - lo - len(x))
+            break
+    return np.concatenate(T), start + np.concatenate(C)
+
+
+def _jump_sum(w, U):
+    """np.cumsum(w[:, None] * U, axis=0)[-1], one coordinate at a time: the same floats."""
+    out = np.empty(U.shape[1])
+    for i in range(U.shape[1]):
+        out[i] = np.cumsum(w * U[:, i])[-1]
+    return out
+
+
+def _skip(rng, m):
+    """Move rng past m random() draws without making them.
+
+    PCG64 reads one word a draw, so advance(m) lands where the draws would;
+    any other bit generator draws and discards them.
+    """
+    if isinstance(rng.bit_generator, np.random.PCG64):
+        rng.bit_generator.advance(m)
+    else:
+        rng.random(m)
 
 
 def renewal_count(traj: Trajectory, t):

@@ -6,9 +6,9 @@ import pytest
 from levywalk import (CRITICAL, SUBORDINATOR_DOMINATED, VELOCITY_DOMINATED,
                       PathTooShort, SpectralMeasure, SubordinatorPath, TailLaw,
                       build_subordinator_path, classify_regime,
-                      continuous_limit_interpolation, joint_partial_sums,
-                      ks_distance, rescaled_ensemble,
-                      stream_rng)
+                      continuous_limit_interpolation, draw_pareto,
+                      joint_partial_sums, ks_distance, rescaled_ensemble,
+                      sample_direction, stream_rng)
 
 
 class TestClassifyRegime:
@@ -187,6 +187,19 @@ class TestInterpolation:
         batch = continuous_limit_interpolation(p, ts)
         single = np.array([continuous_limit_interpolation(p, float(t)) for t in ts])
         np.testing.assert_array_equal(batch, single)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_joint_partial_sums_bit_identical_to_broadcast_sum(d):
+    dur, vel, m = TailLaw(0.5), TailLaw(0.8), SpectralMeasure.uniform(d)
+    radial, dursum = joint_partial_sums(dur, vel, m, 500, 40, 0, 933)
+    regime = classify_regime(0.5, 0.8)
+    for j in range(40):
+        rng = stream_rng(0, 933, j)
+        T, V = draw_pareto(dur, rng, 500), draw_pareto(vel, rng, 500)
+        U = sample_direction(m, rng, 500)
+        assert radial[j] == np.linalg.norm(((V * T)[:, None] * U).sum(axis=0)) / regime.space_norm(500)
+        assert dursum[j] == T.sum() / regime.time_norm(500)
 
 
 def test_joint_partial_sums_basic():

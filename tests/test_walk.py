@@ -4,11 +4,15 @@ import math
 import numpy as np
 import pytest
 
+import levywalk.randgen
+import levywalk.walk
 from levywalk import (SpectralMeasure, TailLaw, Trajectory,
                       TrajectoryExhausted, draw_pareto, expected_steps,
                       position_continuous, position_jump_first,
-                      position_wait_first, renewal_count, sample_trajectory,
-                      stream_rng, walk_endpoint, write_trajectory_csv)
+                      position_wait_first, renewal_count, sample_direction,
+                      sample_trajectory, stream_rng, walk_endpoint,
+                      write_trajectory_csv)
+from levywalk.walk import _skip
 
 E1 = [1.0, 0.0]
 
@@ -242,3 +246,79 @@ def test_trajectory_csv_format():
     assert lines[1] == "1,1.0,2.0,0.0,1.0,1.0,0.0,2.0"
     assert lines[2] == "2,2.0,0.5,1.0,0.0,3.0,1.0,2.0"
     assert len(lines) == 3
+
+
+@pytest.mark.parametrize("bits", [np.random.PCG64, np.random.Philox], ids=["pcg64", "philox"])
+def test_skip_lands_where_the_draws_would(bits):
+    a, b = np.random.Generator(bits(5)), np.random.Generator(bits(5))
+    a.random(1001)
+    _skip(b, 1001)
+    assert np.array_equal(a.random(7), b.random(7))
+    assert np.array_equal(a.standard_normal(7), b.standard_normal(7))
+
+
+class DrawLog:
+    """Records every Pareto and direction draw that walk_endpoint makes, in order."""
+
+    def __init__(self, monkeypatch, dur):
+        self.calls = []
+        self.dur = dur
+
+        def pareto(law, rng, size=None):
+            self.calls.append(("T" if law == self.dur else "V", size))
+            return draw_pareto(law, rng, size)
+
+        def direction(measure, rng, size=None):
+            self.calls.append(("U", size))
+            return sample_direction(measure, rng, size)
+
+        # speeds come through randgen._draw_speeds, durations through walk
+        monkeypatch.setattr(levywalk.walk, "draw_pareto", pareto)
+        monkeypatch.setattr(levywalk.randgen, "draw_pareto", pareto)
+        monkeypatch.setattr(levywalk.walk, "sample_direction", direction)
+
+    def drawn(self, kind, calls=None):
+        return sum(n for k, n in (self.calls if calls is None else calls) if k == kind)
+
+
+@pytest.mark.parametrize("variant", ["wait-first", "jump-first", "continuous"])
+def test_last_block_draws_only_what_it_reads(monkeypatch, variant):
+    monkeypatch.setattr(levywalk.walk, "PIECE", 8)
+    dur, vel, measure = TailLaw(0.5), TailLaw(0.8), SpectralMeasure.uniform(2)
+    horizon = 1e4
+    block = first_block(dur, horizon)
+    ref = [sample_trajectory(dur, vel, measure, stream_rng(0, 919, j), horizon)
+           for j in range(40)]
+    log = DrawLog(monkeypatch, dur)
+    short = 0
+    for j, traj in enumerate(ref):
+        log.calls.clear()
+        walk_endpoint(dur, vel, measure, stream_rng(0, 919, j), horizon, variant)
+        size = (len(traj.T) + block) // 2  # blocks double, so this is the last one
+        done = len(traj.T) - size
+        k = renewal_count(traj, horizon) - done
+        # every earlier block ends with its directions
+        ends = [i for i, (kind, _) in enumerate(log.calls) if kind == "U"]
+        last = log.calls[ends[-2] + 1:] if len(ends) > 1 else log.calls
+        assert log.drawn("T") == done + log.drawn("T", last)
+        assert k + 1 <= log.drawn("T", last) <= min(size, (k // 8 + 1) * 8)
+        assert log.drawn("V", last) <= k + 1
+        assert log.drawn("U", last) <= k + 1
+        short += log.drawn("T", last) < size
+    assert short  # some walks cross the horizon early in their last block
+
+
+@pytest.mark.parametrize("measure", [
+    SpectralMeasure.uniform(1), SpectralMeasure.atoms([[1.0, 0.0], [0.0, 1.0]], [0.5, 0.5]),
+], ids=["d1", "atoms"])
+def test_count_only_walk_draws_no_speeds_or_directions(monkeypatch, measure):
+    dur, vel = TailLaw(0.5), TailLaw(0.8)
+    log = DrawLog(monkeypatch, dur)
+    blocks = 0
+    for j in range(40):
+        log.calls.clear()
+        n, _ = walk_endpoint(dur, vel, measure, stream_rng(0, 920, j), 1e4)
+        assert log.drawn("V") == log.drawn("U") == 0
+        assert log.drawn("T") >= n + 1
+        blocks += log.drawn("T") > first_block(dur, 1e4)
+    assert blocks  # some walks needed a second block
