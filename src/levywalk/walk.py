@@ -111,22 +111,21 @@ def sample_trajectory(duration_law: TailLaw, velocity_law, measure: SpectralMeas
     deterministic-speed diagnostic. Steps come in blocks of T, then V,
     then U, the first of _first_block_size steps and each later one twice
     as large, until a renewal time passes the horizon. Each block's
-    renewal times start from the fsum of the earlier blocks' durations and
-    its positions from the last position, as in walk_endpoint.
+    renewal times continue from the last one, so they are one cumsum of
+    all durations, and its positions continue from the last position, as
+    in walk_endpoint.
     """
     if horizon < 0.0:
         raise ValueError("horizon must be nonnegative")
     size = _first_block_size(duration_law, horizon)
     T, V, U, R = [], [], [], []
     pos = [np.zeros((1, measure.dimension))]
-    block_sums = []
     while not R or R[-1][-1] <= horizon:
         T.append(draw_pareto(duration_law, rng, size))
         V.append(_draw_speeds(velocity_law, rng, size))
         U.append(sample_direction(measure, rng, size))
-        R.append(math.fsum(block_sums) + np.cumsum(T[-1]))
+        R.append(_renewals(R[-1][-1] if R else 0.0, T[-1]))
         pos.append(pos[-1][-1] + np.cumsum((V[-1] * T[-1])[:, None] * U[-1], axis=0))
-        block_sums.append(float(T[-1].sum()))
         size *= 2
     traj = Trajectory.__new__(Trajectory)  # the blocks fixed R and P, so skip __init__
     return traj._assign(*map(np.concatenate, (T, V, U, R, pos)))
@@ -155,12 +154,11 @@ def walk_endpoint(duration_law: TailLaw, velocity_law, measure: SpectralMeasure,
     speed_words = isinstance(velocity_law, TailLaw)  # fixed speeds read none
     one_word_directions = measure.dimension == 1 or not measure.is_uniform
     size = _first_block_size(duration_law, horizon)
-    block_sums = []
     done = 0  # steps in the blocks before the current one
     last = 0.0  # renewal time of step `done`
     pos = np.zeros(measure.dimension)  # position after step `done`
     while True:
-        T, R = _block_durations(duration_law, rng, size, math.fsum(block_sums), horizon)
+        T, R = _block_durations(duration_law, rng, size, last, horizon)
         if R[-1] > horizon:
             break
         if variant is None:
@@ -173,7 +171,6 @@ def walk_endpoint(duration_law: TailLaw, velocity_law, measure: SpectralMeasure,
         else:
             V = _draw_speeds(velocity_law, rng, size)
             pos = pos + _jump_sum(V * T, sample_direction(measure, rng, size))
-        block_sums.append(float(T.sum()))
         done += size
         last = R[-1]
         size *= 2
@@ -196,25 +193,26 @@ def walk_endpoint(duration_law: TailLaw, velocity_law, measure: SpectralMeasure,
     return done + k, pos
 
 
+def _renewals(start, T):
+    """Renewal times start + T_1, start + T_1 + T_2, ...: one cumsum carried on from start."""
+    return np.cumsum(np.concatenate(([start], T)))[1:]
+
+
 def _block_durations(law, rng, size, start, horizon):
     """One block's durations and renewal times from `start`, PIECE at a time.
 
     Drawing stops after the first piece whose last renewal time passes the
     horizon; the block's remaining duration words are skipped, so the
-    generator ends where a whole block leaves it. The within-block sums are
-    carried from piece to piece, which adds in the order of one cumsum.
+    generator ends where a whole block leaves it.
     """
-    T, C = [], []
-    carry = 0.0
+    T, R = [], []
     for lo in range(0, size, PIECE):
-        x = draw_pareto(law, rng, min(PIECE, size - lo))
-        T.append(x)
-        C.append(np.cumsum(np.concatenate(([carry], x)))[1:])
-        carry = C[-1][-1]
-        if start + carry > horizon:
-            _skip(rng, size - lo - len(x))
+        T.append(draw_pareto(law, rng, min(PIECE, size - lo)))
+        R.append(_renewals(R[-1][-1] if R else start, T[-1]))
+        if R[-1][-1] > horizon:
+            _skip(rng, size - lo - len(T[-1]))
             break
-    return np.concatenate(T), start + np.concatenate(C)
+    return np.concatenate(T), np.concatenate(R)
 
 
 def _jump_sum(w, U):

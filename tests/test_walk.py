@@ -12,6 +12,7 @@ from levywalk import (SpectralMeasure, TailLaw, Trajectory,
                       position_wait_first, renewal_count, sample_direction,
                       sample_trajectory, stream_rng, walk_endpoint,
                       write_trajectory_csv)
+from levywalk.harness import INVARIANTS_STREAM
 from levywalk.walk import _skip
 
 E1 = [1.0, 0.0]
@@ -168,6 +169,26 @@ def test_renewal_times_strictly_increasing_across_blocks():
     np.testing.assert_allclose(traj.renewal_times, np.cumsum(traj.T), rtol=1e-12)
     np.testing.assert_allclose(traj.positions,
                                np.cumsum(traj.jumps(), axis=0), rtol=1e-9, atol=1e-12)
+
+
+def test_renewal_times_nondecreasing_at_small_alpha():
+    # trajectory 982 of the invariants suite's identity checks at seed 6: at
+    # alpha = 0.04 its first block ends in a run of equal renewal times, and
+    # a block that started below the previous block's last renewal time
+    # broke the run and the order
+    alpha = 0.04
+    dur = TailLaw(alpha)
+    horizon = (100.0 * math.gamma(1 + alpha) * math.gamma(1 - alpha)
+               * dur.tail_constant) ** (1.0 / alpha)
+    rng = stream_rng(6, INVARIANTS_STREAM, 982)
+    traj = sample_trajectory(dur, TailLaw(0.8), SpectralMeasure.uniform(2), rng, horizon)
+    ts = rng.random(100) * horizon
+    R = traj.renewal_times
+    assert len(R) > first_block(dur, horizon)
+    assert np.all(np.diff(R) >= 0.0)
+    # N(t) = max{j : R_j <= t}
+    expected = [max((j + 1 for j in range(len(R)) if R[j] <= t), default=0) for t in ts]
+    assert renewal_count(traj, ts).tolist() == expected
 
 
 EVALUATORS = {
