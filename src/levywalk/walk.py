@@ -212,6 +212,8 @@ def _block_durations(law, rng, size, start, horizon):
         if R[-1][-1] > horizon:
             _skip(rng, size - lo - len(T[-1]))
             break
+    if len(T) == 1:  # the common case: one piece, nothing to join
+        return T[0], R[0]
     return np.concatenate(T), np.concatenate(R)
 
 
