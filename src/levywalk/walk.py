@@ -195,7 +195,7 @@ def walk_endpoint(duration_law: TailLaw, velocity_law, measure: SpectralMeasure,
 
 def _renewals(start, T):
     """Renewal times start + T_1, start + T_1 + T_2, ...: one cumsum carried on from start."""
-    return np.cumsum(np.concatenate(([start], T)))[1:]
+    return np.concatenate(((start,), T)).cumsum()[1:]
 
 
 def _block_durations(law, rng, size, start, horizon):
@@ -219,10 +219,7 @@ def _block_durations(law, rng, size, start, horizon):
 
 def _jump_sum(w, U):
     """np.cumsum(w[:, None] * U, axis=0)[-1], one coordinate at a time: the same floats."""
-    out = np.empty(U.shape[1])
-    for i in range(U.shape[1]):
-        out[i] = np.cumsum(w * U[:, i])[-1]
-    return out
+    return np.array([(w * U[:, i]).cumsum()[-1] for i in range(U.shape[1])])
 
 
 def _skip(rng, m):
