@@ -16,7 +16,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import ConfigError, ValidationError
-from .randgen import (TailLaw, SpectralMeasure, build_subordinator_path,
+from .randgen import (TailLaw, SpectralMeasure, _stream_rngs, build_subordinator_path,
                       draw_pareto, positive_stable, stream_rng)
 from .walk import (position_continuous, position_jump_first, position_wait_first,
                    renewal_count, sample_trajectory, walk_endpoint,
@@ -283,11 +283,10 @@ def _counting_limit_rows(cfg, threads, alpha=0.5, n=10**6, n_traj=10**4,
     measure = SpectralMeasure.uniform(1)
     counts = np.empty(n_traj)
 
-    def fill_count(j):
-        rng = stream_rng(cfg.seed, LAPLACE_STREAM + 10, j)
+    def fill_count(j, rng):
         counts[j] = walk_endpoint(law, 1.0, measure, rng, float(n))[0]
 
-    _parallel_fill(n_traj, threads, fill_count)
+    _parallel_fill(cfg.seed, LAPLACE_STREAM + 10, n_traj, threads, fill_count)
     walk_mean = float(counts.mean()) * n ** (-alpha)
 
     # one passage per sample at quarter resolution; the passage times at
@@ -512,8 +511,7 @@ def _identity_rows(cfg, n_traj=1000, n_times=100):
     horizon = (100.0 * math.gamma(1 + cfg.alpha) * math.gamma(1 - cfg.alpha) * c) ** (1.0 / cfg.alpha)
     worst_jump = worst_renewal = worst_speed = 0.0
     violations = 0
-    for i in range(n_traj):
-        rng = stream_rng(cfg.seed, INVARIANTS_STREAM, i)
+    for _, rng in _stream_rngs(cfg.seed, INVARIANTS_STREAM, 0, n_traj):
         traj = sample_trajectory(dur, vel, measure, rng, horizon)
         ts = rng.random(n_times) * horizon
         n = renewal_count(traj, ts)
@@ -582,8 +580,7 @@ def _interpolation_rows(cfg, n_paths=1000, n_times=100):
     measure = cfg.spectral_measure()
     weight_bad = 0
     worst_excess = -np.inf
-    for i in range(n_paths):
-        rng = stream_rng(cfg.seed, INVARIANTS_STREAM + 20, i)
+    for _, rng in _stream_rngs(cfg.seed, INVARIANTS_STREAM + 20, 0, n_paths):
         path = build_subordinator_path(cfg.alpha, 1.0, 0.01, rng, mark_jumps=True,
                                        velocity_law=vel, measure=measure)
         C = path.cumulative
@@ -681,8 +678,7 @@ def run_simulate(cfg: ExperimentConfig, out_dir: str, threads: int = 1) -> int:
             stream += 1
     regime = classify_regime(cfg.alpha, cfg.beta)
     horizon = regime.time_norm(cfg.n_grid[0]) * max(cfg.t_grid)
-    for k in range(cfg.trajectories):
-        rng = stream_rng(cfg.seed, TRAJ_STREAM, k)
+    for k, rng in _stream_rngs(cfg.seed, TRAJ_STREAM, 0, cfg.trajectories):
         traj = sample_trajectory(dur, vel, measure, rng, horizon)
         with open(os.path.join(exp_dir, f"trajectory_{k}.csv"), "w", newline="\n") as fh:
             write_trajectory_csv(traj, fh)

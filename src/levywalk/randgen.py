@@ -3,7 +3,10 @@
 Everything here is driven by an explicit numpy Generator, so callers own
 reproducibility. For ensemble work use stream_rng(master, stream, index):
 sample index j of ensemble e always sees the same generator regardless of
-how the samples are scheduled across threads.
+how the samples are scheduled across threads. Loops over a run of indices
+use _stream_rngs, which yields generators in the same states as
+stream_rng's, computed in batches without building a SeedSequence per
+index; stream_rng stays the reference that tests compare against.
 """
 
 import math
@@ -36,6 +39,101 @@ def stream_rng(master_seed: int, stream: int, index: int) -> np.random.Generator
     """
     ss = np.random.SeedSequence(entropy=master_seed, spawn_key=(stream, index))
     return np.random.default_rng(ss)
+
+
+# numpy's SeedSequence hash constants (pool of 4 uint32 words) and PCG64's
+# 128-bit LCG multiplier, as in numpy/random/bit_generator.pyx and pcg64.h
+_POOL_SIZE = 4
+_INIT_A = 0x43B0D7E5
+_MULT_A = 0x931E8875
+_INIT_B = 0x8B51F9DD
+_MULT_B = 0x58F38DED
+_MIX_MULT_L = 0xCA01F9DD
+_MIX_MULT_R = 0x4973F715
+_MASK32 = 2**32 - 1
+_MASK128 = 2**128 - 1
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+# sample indices whose PCG64 states _stream_rngs computes in one pass
+SEED_BATCH = 1024
+
+
+def _uint32_words(x):
+    """numpy's 32-bit words of a nonnegative int, least significant first."""
+    if x < 0:
+        raise ValueError(f"expected a nonnegative integer, got {x}")
+    words = [x & _MASK32]
+    while x > _MASK32:
+        x >>= 32
+        words.append(x & _MASK32)
+    return words
+
+
+def _pcg64_seeds(master_seed, stream, j):
+    """The uint64 words generate_state(4, uint64) gives for each index in j.
+
+    Replays SeedSequence(master_seed, spawn_key=(stream, j)) over the
+    uint32 array j: the hash constants do not depend on the data, so they
+    stay Python ints and only the data words are arrays (whose arithmetic
+    wraps without a warning). Returns four lists of ints.
+    """
+    run = _uint32_words(master_seed)
+    run += [0] * (_POOL_SIZE - len(run))  # numpy pads the entropy before a spawn key
+    entropy = [np.full(j.size, w, np.uint32) for w in run + _uint32_words(stream)] + [j]
+    h = _INIT_A
+
+    def hashmix(value):
+        nonlocal h
+        value = value ^ h
+        h = h * _MULT_A & _MASK32
+        value *= h
+        return value ^ value >> 16
+
+    def mix(x, y):
+        r = _MIX_MULT_L * x - _MIX_MULT_R * y
+        return r ^ r >> 16
+
+    pool = [hashmix(w) for w in entropy[:_POOL_SIZE]]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for w in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(w))
+    h = _INIT_B
+    words = []
+    for i in range(2 * _POOL_SIZE):
+        value = pool[i % _POOL_SIZE] ^ h
+        h = h * _MULT_B & _MASK32
+        value *= h
+        words.append((value ^ value >> 16).astype(np.uint64))
+    # little-endian pairs of uint32 words make the uint64 words
+    return [(words[2 * k] | words[2 * k + 1] << 32).tolist() for k in range(4)]
+
+
+def _stream_rngs(master_seed: int, stream: int, lo: int, hi: int):
+    """Yield (j, stream_rng(master_seed, stream, j)) for j in [lo, hi), seeded in batches.
+
+    The PCG64 states of SEED_BATCH indices at a time come from one
+    vectorised pass (_pcg64_seeds) and PCG64's seeding step, then one
+    Generator is re-stated for each index: the same draws as stream_rng,
+    at a fraction of its cost. The yielded generator is valid until the
+    next one is yielded. Indices must lie in [0, 2^32), where a spawn key
+    index takes one word.
+    """
+    if lo < hi and not (0 <= lo and hi <= 2**32):
+        raise ValueError(f"sample indices [{lo}, {hi}) leave [0, 2^32)")
+    bitgen = np.random.PCG64(0)
+    rng = np.random.Generator(bitgen)
+    for start in range(lo, hi, SEED_BATCH):
+        stop = min(start + SEED_BATCH, hi)
+        seeds = _pcg64_seeds(int(master_seed), int(stream), np.arange(start, stop, dtype=np.uint32))
+        for j, s0, s1, i0, i1 in zip(range(start, stop), *seeds):
+            inc = ((i0 << 64 | i1) << 1 | 1) & _MASK128
+            state = ((inc + (s0 << 64 | s1)) * _PCG_MULT + inc) & _MASK128
+            bitgen.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                            "has_uint32": 0, "uinteger": 0}
+            yield j, rng
 
 
 @dataclass(frozen=True)

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PathTooShort
-from .randgen import (TailLaw, SpectralMeasure, SubordinatorPath, draw_pareto,
-                      sample_direction, stream_rng)
+from .randgen import (TailLaw, SpectralMeasure, SubordinatorPath, _stream_rngs,
+                      draw_pareto, sample_direction)
 from .walk import (_jump_sum, walk_endpoint, position_wait_first, position_jump_first,
                    position_continuous)
 
@@ -134,22 +134,22 @@ def _norms_for(duration_law, velocity_law, n):
     return norm, norm, None, None
 
 
-def _parallel_fill(n_samples, threads, fill):
-    """Run fill(j) for every sample index, chunked over a thread pool.
+def _parallel_fill(seed, stream, n_samples, threads, fill):
+    """Run fill(j, rng) for every sample index j, chunked over a thread pool.
 
-    Each j owns its generator, so the partition cannot change any output.
+    rng draws what stream_rng(seed, stream, j) would. Each span re-states
+    its own generator (randgen._stream_rngs), so the partition cannot
+    change any output.
     """
+    def run(span):
+        for j, rng in _stream_rngs(seed, stream, *span):
+            fill(j, rng)
+
     if threads <= 1:
-        for j in range(n_samples):
-            fill(j)
+        run((0, n_samples))
         return
     chunk = max(1, n_samples // (threads * 8))
     spans = [(lo, min(lo + chunk, n_samples)) for lo in range(0, n_samples, chunk)]
-
-    def run(span):
-        for j in range(*span):
-            fill(j)
-
     with ThreadPoolExecutor(max_workers=threads) as pool:
         list(pool.map(run, spans))
 
@@ -175,11 +175,10 @@ def rescaled_ensemble(duration_law: TailLaw, velocity_law, measure: SpectralMeas
     horizon = time_ * t
     out = np.empty((n_samples, measure.dimension))
 
-    def fill(j):
-        rng = stream_rng(seed, stream, j)
+    def fill(j, rng):
         out[j] = walk_endpoint(duration_law, velocity_law, measure, rng, horizon, variant)[1]
 
-    _parallel_fill(n_samples, threads, fill)
+    _parallel_fill(seed, stream, n_samples, threads, fill)
     return EnsembleSnapshot(
         values=out / space, alpha=duration_law.index, beta=beta, measure=measure,
         variant=variant, n=n, t=t, n_samples=n_samples, seed=seed, stream=stream,
@@ -231,8 +230,7 @@ def joint_partial_sums(duration_law: TailLaw, velocity_law: TailLaw,
     radial = np.empty(n_samples)
     dursum = np.empty(n_samples)
 
-    def fill(j):
-        rng = stream_rng(seed, stream, j)
+    def fill(j, rng):
         T = draw_pareto(duration_law, rng, n)
         V = draw_pareto(velocity_law, rng, n)
         U = sample_direction(measure, rng, n)
@@ -242,5 +240,5 @@ def joint_partial_sums(duration_law: TailLaw, velocity_law: TailLaw,
         radial[j] = np.linalg.norm(jump_sum) / space
         dursum[j] = T.sum() / time_
 
-    _parallel_fill(n_samples, threads, fill)
+    _parallel_fill(seed, stream, n_samples, threads, fill)
     return radial, dursum

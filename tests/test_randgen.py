@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,9 @@ from levywalk import (PathTooShort, SpectralMeasure, TailLaw,
                       extend_subordinator_path, inverse_subordinator,
                       ks_distance, positive_stable, sample_direction,
                       stream_rng)
+from levywalk import harness
 from levywalk.harness import _grid_passage_index
+from levywalk.randgen import SEED_BATCH, _stream_rngs
 
 
 def test_stream_rng_reproducible_and_disjoint():
@@ -19,6 +22,66 @@ def test_stream_rng_reproducible_and_disjoint():
     assert not np.array_equal(a, stream_rng(7, 3, 12).random(8))
     assert not np.array_equal(a, stream_rng(7, 4, 11).random(8))
     assert not np.array_equal(a, stream_rng(8, 3, 11).random(8))
+
+
+# one stream id from every block of harness's stream scheme
+STREAM_IDS = [harness.SIM_STREAM + 3, harness.TRAJ_STREAM, harness.LAPLACE_STREAM + 10,
+              harness.TAILS_STREAM + 11, harness.CRITICAL_STREAM + 1, harness.COLLAPSE_STREAM + 7,
+              harness.EXPONENTS_STREAM + 2, harness.INVARIANTS_STREAM,
+              harness.INVARIANTS_STREAM + 20, harness.INVARIANTS_STREAM + 30]
+
+
+def assert_same_generator(rng, seed, stream, j):
+    ref = stream_rng(seed, stream, j)
+    assert rng.bit_generator.state == ref.bit_generator.state
+    # doubles, then an odd number of 32-bit words, which leaves one buffered
+    assert np.array_equal(rng.random(10), ref.random(10))
+    assert np.array_equal(rng.integers(0, 2**32, 3, dtype=np.uint32),
+                          ref.integers(0, 2**32, 3, dtype=np.uint32))
+    assert rng.standard_normal() == ref.standard_normal()
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 - 1])
+@pytest.mark.parametrize("stream", STREAM_IDS)
+def test_stream_rngs_match_stream_rng(seed, stream):
+    picked = {0, SEED_BATCH - 1, SEED_BATCH, SEED_BATCH + 1}
+    seen = []
+    for j, rng in _stream_rngs(seed, stream, 0, SEED_BATCH + 2):
+        seen.append(j)
+        if j in picked:
+            assert_same_generator(rng, seed, stream, j)
+    assert seen == list(range(SEED_BATCH + 2))
+    for lo, hi in ((10**8 - 1, 10**8 + 2), (2**32 - 2, 2**32)):
+        for j, rng in _stream_rngs(seed, stream, lo, hi):
+            assert_same_generator(rng, seed, stream, j)
+
+
+def test_stream_rngs_match_stream_rng_at_random_triples():
+    draw = np.random.default_rng(12345)
+    for _ in range(60):
+        seed = int(draw.integers(0, 2**64, dtype=np.uint64))
+        stream = int(draw.choice(STREAM_IDS))
+        lo = int(draw.integers(0, 2**32 - 3))
+        for j, rng in _stream_rngs(seed, stream, lo, lo + 3):
+            assert_same_generator(rng, seed, stream, j)
+
+
+def test_stream_rngs_reject_indices_outside_one_word():
+    for lo, hi in ((-1, 2), (2**32, 2**32 + 1), (2**32 - 1, 2**32 + 1)):
+        with pytest.raises(ValueError):
+            list(_stream_rngs(0, 600, lo, hi))
+    assert list(_stream_rngs(0, 600, 5, 5)) == []
+
+
+def test_stream_rngs_memory_is_bounded():
+    tracemalloc.start()
+    try:
+        for _ in _stream_rngs(3, 110, 0, 2 * 10**5):
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 class TestTailLaw:

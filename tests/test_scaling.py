@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -8,7 +9,9 @@ from levywalk import (CRITICAL, SUBORDINATOR_DOMINATED, VELOCITY_DOMINATED,
                       build_subordinator_path, classify_regime,
                       continuous_limit_interpolation, draw_pareto,
                       joint_partial_sums, ks_distance, rescaled_ensemble,
-                      sample_direction, stream_rng)
+                      sample_direction, stream_rng, walk_endpoint)
+from levywalk.harness import LAPLACE_STREAM, _counting_limit_rows, parse_config
+from levywalk.randgen import SEED_BATCH
 
 
 class TestClassifyRegime:
@@ -213,3 +216,58 @@ def test_joint_partial_sums_basic():
     # the alpha < beta case shares its dominant jumps between components
     from levywalk import spearman
     assert spearman(radial, dursum) > 0.3
+
+
+# not a multiple of the seeding batch, nor of any span size at 2 or 4 threads
+N_SPANS = SEED_BATCH + 37
+
+
+@pytest.fixture
+def frequent_switches():
+    # threads hand over every microsecond, so spans interleave inside one
+    # sample's draws and a generator shared between spans would show
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        yield
+    finally:
+        sys.setswitchinterval(old)
+
+
+def test_rescaled_ensemble_same_at_every_thread_count(frequent_switches):
+    dur, vel, m = TailLaw(0.5), TailLaw(0.8), SpectralMeasure.uniform(2)
+    runs = [rescaled_ensemble(dur, vel, m, "continuous", 100, 1.0, N_SPANS, 0, 934,
+                              threads=k).values for k in (1, 2, 4)]
+    regime = classify_regime(0.5, 0.8)
+    loop = np.array([walk_endpoint(dur, vel, m, stream_rng(0, 934, j), regime.time_norm(100),
+                                   "continuous")[1] for j in range(N_SPANS)])
+    for values in runs:
+        np.testing.assert_array_equal(values, loop / regime.space_norm(100))
+
+
+def test_joint_partial_sums_same_at_every_thread_count(frequent_switches):
+    dur, vel, m = TailLaw(0.5), TailLaw(0.8), SpectralMeasure.uniform(2)
+    runs = [joint_partial_sums(dur, vel, m, 50, N_SPANS, 1, 935, threads=k) for k in (1, 2, 4)]
+    regime = classify_regime(0.5, 0.8)
+    radial, dursum = np.empty(N_SPANS), np.empty(N_SPANS)
+    for j in range(N_SPANS):
+        rng = stream_rng(1, 935, j)
+        T, V = draw_pareto(dur, rng, 50), draw_pareto(vel, rng, 50)
+        U = sample_direction(m, rng, 50)
+        radial[j] = np.linalg.norm(((V * T)[:, None] * U).sum(axis=0)) / regime.space_norm(50)
+        dursum[j] = T.sum() / regime.time_norm(50)
+    for r, s in runs:
+        np.testing.assert_array_equal(r, radial)
+        np.testing.assert_array_equal(s, dursum)
+
+
+def test_counting_limit_rows_same_at_every_thread_count(frequent_switches):
+    cfg = parse_config("alpha = 0.5\nbeta = 0.8\nd = 1\nvariant = wait-first\nseed = 2\n")
+    runs = [_counting_limit_rows(cfg, k, n=10**3, n_traj=N_SPANS, n_paths=50) for k in (1, 2, 4)]
+    assert runs[0] == runs[1] == runs[2]
+    law = TailLaw.stable_normalized(0.5)
+    counts = np.array([walk_endpoint(law, 1.0, SpectralMeasure.uniform(1),
+                                     stream_rng(2, LAPLACE_STREAM + 10, j), 1e3)[0]
+                       for j in range(N_SPANS)])
+    walk_mean = float(counts.mean()) * 1000 ** (-0.5)
+    assert f";walk_mean={walk_mean!r};" in runs[0][0].parameters
