@@ -72,24 +72,25 @@ def _pcg64_seeds(master_seed, stream, j):
     """The uint64 words generate_state(4, uint64) gives for each index in j.
 
     Replays SeedSequence(master_seed, spawn_key=(stream, j)) over the
-    uint32 array j: the hash constants do not depend on the data, so they
-    stay Python ints and only the data words are arrays (whose arithmetic
-    wraps without a warning). Returns four lists of ints.
+    uint32 array j. The hash constants do not depend on the data, and every
+    word but j's is the same for all indices, so those stay Python ints,
+    masked to 32 bits; only the pool words that j reaches are uint32 arrays,
+    whose arithmetic wraps without a warning. Returns four lists of ints.
     """
     run = _uint32_words(master_seed)
     run += [0] * (_POOL_SIZE - len(run))  # numpy pads the entropy before a spawn key
-    entropy = [np.full(j.size, w, np.uint32) for w in run + _uint32_words(stream)] + [j]
+    entropy = run + _uint32_words(stream) + [j]
     h = _INIT_A
 
     def hashmix(value):
         nonlocal h
         value = value ^ h
         h = h * _MULT_A & _MASK32
-        value *= h
+        value = value * h & _MASK32
         return value ^ value >> 16
 
     def mix(x, y):
-        r = _MIX_MULT_L * x - _MIX_MULT_R * y
+        r = ((_MIX_MULT_L * x & _MASK32) - (_MIX_MULT_R * y & _MASK32)) & _MASK32
         return r ^ r >> 16
 
     pool = [hashmix(w) for w in entropy[:_POOL_SIZE]]
