@@ -10,9 +10,10 @@ import pytest
 from levywalk import (ConfigError, ExperimentConfig, SpectralMeasure, TailLaw,
                       ValidationError, classify_regime, parse_config,
                       rescaled_ensemble, run_simulate, run_suite)
-from levywalk.harness import (INVARIANTS_MIN_ALPHA, INVARIANTS_MIN_BETA,
+from levywalk.harness import (FEW_THRESHOLDS, INVARIANTS_MIN_ALPHA, INVARIANTS_MIN_BETA,
                               MAX_ENSEMBLE_VALUES, MAX_TRAJECTORIES, ReportRow,
-                              _counting_limit_rows, _determinism_row, _identity_rows,
+                              _counting_limit_rows, _counts_at_most, _determinism_row,
+                              _identity_rows,
                               _interpolation_rows, _pareto_counts_above,
                               _product_counts_below, _product_top, _validate,
                               _validate_suite, suite_critical, suite_tails,
@@ -300,6 +301,45 @@ def test_pareto_counts_match_one_shot(monkeypatch, index):
     above = _pareto_counts_above(TailLaw(index), rng, n, z)
     assert [int(c) / n for c in above] == [float(np.mean(x > zi)) for zi in z]
     assert rng.bit_generator.state == rng_one.bit_generator.state
+
+
+def test_pareto_counts_match_broadcast_count(monkeypatch):
+    # the (n, len(z)) mask the per-threshold counts replace
+    monkeypatch.setattr(harness, "PRODUCT_CHUNK", 1000)
+    n, law = 4321, TailLaw(0.8)
+    x = harness.draw_pareto(law, np.random.default_rng(13), n)
+    z = np.concatenate([[2.0, 10.0, 100.0], x[[7, 4000]]])
+    above = _pareto_counts_above(law, np.random.default_rng(13), n, z)
+    np.testing.assert_array_equal(above, np.count_nonzero(x[:, None] > z, axis=0))
+
+
+def _products(size, seed):
+    rng = np.random.default_rng(seed)
+    return harness.draw_pareto(TailLaw(0.5), rng, size) * harness.draw_pareto(TailLaw(0.5), rng, size)
+
+
+@pytest.mark.parametrize("m", [0, 1, FEW_THRESHOLDS, FEW_THRESHOLDS + 1, 25])
+def test_counts_at_most_on_both_sides_of_the_switch(m):
+    x = _products(5000, 3)
+    # an increasing grid with sample values on it, and a repeated value
+    z = np.sort(np.concatenate([np.geomspace(10.0, 1e4, max(m - 2, 0)), x[[11, 11]]]))[:m]
+    chunk = x.copy()
+    np.testing.assert_array_equal(_counts_at_most(chunk, z),
+                                  np.searchsorted(np.sort(x), z, side="right"))
+    assert np.sort(chunk).tobytes() == np.sort(x).tobytes()
+
+
+def test_counts_at_most_when_every_value_is_at_or_below_the_lowest_threshold():
+    x = _products(1000, 4)
+    z = np.concatenate([[x.max()], np.geomspace(2 * x.max(), 4 * x.max(), FEW_THRESHOLDS)])
+    np.testing.assert_array_equal(_counts_at_most(x.copy(), z), [x.size] * z.size)
+
+
+def test_counts_at_most_when_every_value_is_above_the_lowest_threshold():
+    x = _products(1000, 5)
+    z = np.sort(np.concatenate([[0.5], x[[1, 2, 3]], np.geomspace(2.0, 1e5, FEW_THRESHOLDS)]))
+    np.testing.assert_array_equal(_counts_at_most(x.copy(), z),
+                                  np.searchsorted(np.sort(x), z, side="right"))
 
 
 @pytest.mark.parametrize("a,b", [(0.5, 0.5), (0.5, 0.8)])
