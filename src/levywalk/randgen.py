@@ -68,18 +68,31 @@ def _uint32_words(x):
     return words
 
 
+def _hash_steps(h, mult, k):
+    """Columns of what k successive SeedSequence hash steps from h xor a word
+    with and then multiply it by, as uint32 arrays of shape (k, 1)."""
+    xor, by = [], []
+    for _ in range(k):
+        xor.append(h)
+        h = h * mult & _MASK32
+        by.append(h)
+    return np.array(xor, dtype=np.uint32)[:, None], np.array(by, dtype=np.uint32)[:, None]
+
+
 def _pcg64_seeds(master_seed, stream, j):
     """The uint64 words generate_state(4, uint64) gives for each index in j.
 
     Replays SeedSequence(master_seed, spawn_key=(stream, j)) over the
     uint32 array j. The hash constants do not depend on the data, and every
     word but j's is the same for all indices, so those stay Python ints,
-    masked to 32 bits; only the pool words that j reaches are uint32 arrays,
-    whose arithmetic wraps without a warning. Returns four lists of ints.
+    masked to 32 bits. j's word is the last one hashed: it enters the four
+    pool words as one (4, n) uint32 chain, and the eight output words come
+    from one (8, n) chain; uint32 arithmetic wraps without a warning.
+    Returns four lists of ints.
     """
     run = _uint32_words(master_seed)
     run += [0] * (_POOL_SIZE - len(run))  # numpy pads the entropy before a spawn key
-    entropy = run + _uint32_words(stream) + [j]
+    shared = run + _uint32_words(stream)
     h = _INIT_A
 
     def hashmix(value):
@@ -93,23 +106,28 @@ def _pcg64_seeds(master_seed, stream, j):
         r = ((_MIX_MULT_L * x & _MASK32) - (_MIX_MULT_R * y & _MASK32)) & _MASK32
         return r ^ r >> 16
 
-    pool = [hashmix(w) for w in entropy[:_POOL_SIZE]]
+    pool = [hashmix(w) for w in shared[:_POOL_SIZE]]
     for src in range(_POOL_SIZE):
         for dst in range(_POOL_SIZE):
             if src != dst:
                 pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for w in entropy[_POOL_SIZE:]:
+    for w in shared[_POOL_SIZE:]:
         for dst in range(_POOL_SIZE):
             pool[dst] = mix(pool[dst], hashmix(w))
-    h = _INIT_B
-    words = []
-    for i in range(2 * _POOL_SIZE):
-        value = pool[i % _POOL_SIZE] ^ h
-        h = h * _MULT_B & _MASK32
-        value *= h
-        words.append((value ^ value >> 16).astype(np.uint64))
+    # j into pool word dst: mix(pool[dst], hashmix(j)), one hash step per dst
+    xor, by = _hash_steps(h, _MULT_A, _POOL_SIZE)
+    value = (j ^ xor) * by
+    value ^= value >> 16
+    scaled = np.array([_MIX_MULT_L * w & _MASK32 for w in pool], dtype=np.uint32)[:, None]
+    r = scaled - _MIX_MULT_R * value
+    pool = r ^ r >> 16
+    # output word i hashes pool word i % 4
+    xor, by = _hash_steps(_INIT_B, _MULT_B, 2 * _POOL_SIZE)
+    value = (np.tile(pool, (2, 1)) ^ xor) * by
+    value ^= value >> 16
+    words = value.astype(np.uint64)
     # little-endian pairs of uint32 words make the uint64 words
-    return [(words[2 * k] | words[2 * k + 1] << 32).tolist() for k in range(4)]
+    return (words[0::2] | words[1::2] << 32).tolist()
 
 
 def _stream_rngs(master_seed: int, stream: int, lo: int, hi: int):
