@@ -123,11 +123,15 @@ def _pcg64_seeds(master_seed, stream, j):
     pool = r ^ r >> 16
     # output word i hashes pool word i % 4
     xor, by = _hash_steps(_INIT_B, _MULT_B, 2 * _POOL_SIZE)
-    value = (np.tile(pool, (2, 1)) ^ xor) * by
+    value = np.tile(pool, (2, 1))
+    value ^= xor
+    value *= by
     value ^= value >> 16
-    words = value.astype(np.uint64)
     # little-endian pairs of uint32 words make the uint64 words
-    return (words[0::2] | words[1::2] << 32).tolist()
+    words = value[1::2].astype(np.uint64)
+    words <<= 32
+    words |= value[0::2]
+    return words.tolist()
 
 
 def _stream_rngs(master_seed: int, stream: int, lo: int, hi: int):
