@@ -69,8 +69,8 @@ def _uint32_words(x):
 
 
 def _hash_steps(h, mult, k):
-    """Columns of what k successive SeedSequence hash steps from h xor a word
-    with and then multiply it by, as uint32 arrays of shape (k, 1)."""
+    """What k successive SeedSequence hash steps from h xor a word with, and
+    then multiply it by, as two uint32 columns of shape (k, 1)."""
     xor, by = [], []
     for _ in range(k):
         xor.append(h)

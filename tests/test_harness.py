@@ -13,8 +13,7 @@ from levywalk import (ConfigError, ExperimentConfig, SpectralMeasure, TailLaw,
 from levywalk.harness import (FEW_THRESHOLDS, INVARIANTS_MIN_ALPHA, INVARIANTS_MIN_BETA,
                               MAX_ENSEMBLE_VALUES, MAX_TRAJECTORIES, ReportRow,
                               _counting_limit_rows, _counts_at_most, _determinism_row,
-                              _identity_rows,
-                              _interpolation_rows, _pareto_counts_above,
+                              _identity_rows, _interpolation_rows, _pareto_counts_above,
                               _product_counts_below, _product_top, _validate,
                               _validate_suite, suite_critical, suite_tails,
                               write_ensemble, write_report_csv)
