@@ -8,6 +8,7 @@ every sample j of every ensemble e draws from stream_rng(seed, e, j) and
 results are merged by sample index.
 """
 
+import copy
 import json
 import math
 import os
@@ -46,11 +47,6 @@ MAX_TRAJECTORIES = 10**4
 # the tails and critical suites draw their Pareto samples and products in
 # pieces of this many samples (512 KiB of doubles) instead of holding them
 PRODUCT_CHUNK = 2**16
-# _counts_at_most counts up to this many thresholds with one pass over a
-# chunk each. On a 2^16 chunk (2-vCPU VM, numpy 2.4.6) a pass costs about
-# 0.02 ms, and partitioning at the lowest threshold and sorting the 22-33 %
-# of the products above it costs 0.23-0.3 ms, so they cross at 12-16.
-FEW_THRESHOLDS = 12
 # below these indices the invariants suite's fixed scales overflow floats:
 # with warnings as errors, at seeds 0-19, 2 seeds overflow at alpha = 0.04
 # (beta = 0.8) and 1 at beta = 0.04 (alpha = 0.5); none at 0.05
@@ -317,80 +313,52 @@ def _counting_limit_rows(cfg, threads, alpha=0.5, n=10**6, n_traj=10**4,
     return rows
 
 
-def _product_chunks(a, b, rng, n):
-    """The n products X = draw_pareto(TailLaw(a), rng, n) * draw_pareto(TailLaw(b), rng, n),
-    yielded PRODUCT_CHUNK at a time.
+def _pareto_chunks(indices, rng, n):
+    """The n products of draw_pareto(TailLaw(a), rng, n) over a in indices,
+    the factors drawn one after another, yielded PRODUCT_CHUNK at a time.
 
-    The chunks are bit for bit those of the one-shot expression. Its second
-    factor starts n doubles on, and random() reads one 64-bit word a double,
-    so a copy of the bit generator advanced by n words draws it. Once the
-    last chunk is taken, rng is in the state the one-shot draw leaves.
+    The chunks are bit for bit those of the one-shot expression. Factor i
+    starts i * n doubles on, and random() reads one 64-bit word a double,
+    so a copy of the bit generator advanced by i * n words draws it. Once
+    the last chunk is taken, rng is in the state the one-shot draw leaves.
     """
     if not isinstance(rng.bit_generator, np.random.PCG64):
         raise TypeError(f"need a PCG64 generator to skip ahead, "
                         f"got {type(rng.bit_generator).__name__}")
-    la, lb = TailLaw(a), TailLaw(b)
-    bits_b = np.random.PCG64()
-    bits_b.state = rng.bit_generator.state
-    rng_b = np.random.Generator(bits_b.advance(n))
+    factors = [(TailLaw(a), np.random.Generator(copy.deepcopy(rng.bit_generator).advance(i * n)))
+               for i, a in enumerate(indices)]
     for start in range(0, n, PRODUCT_CHUNK):
         m = min(PRODUCT_CHUNK, n - start)
-        x = draw_pareto(la, rng, m) * draw_pareto(lb, rng_b, m)
+        x = draw_pareto(*factors[0], m)
+        for law, rng_i in factors[1:]:
+            x = x * draw_pareto(law, rng_i, m)
         if not np.isfinite(x).all():
             raise ValueError("samples must be finite")
         yield x
-    rng.bit_generator.advance(n)
+    rng.bit_generator.advance(len(indices) * n)
 
 
-def _counts_at_most(x, z):
-    """#{x <= z_i} for each z_i of the nondecreasing array z, reordering x in place.
-
-    With at most FEW_THRESHOLDS thresholds, each is one contiguous count.
-    With more, only the values above z[0] are sorted: a partition at
-    low = #{x <= z[0]} leaves exactly those in x[low:], and searchsorted
-    counts them at or below each z_i.
-    """
-    if z.size <= FEW_THRESHOLDS:
-        return np.array([np.count_nonzero(x <= t) for t in z], dtype=np.int64)
-    low = np.count_nonzero(x <= z[0])
-    if 0 < low < x.size:
-        x.partition(low)
-    above = x[low:]
-    above.sort()
-    return low + np.searchsorted(above, z, side="right")
-
-
-def _product_counts_below(a, b, rng, n, z):
+def _counts_below(indices, rng, n, z):
     """#{X <= z_i} for each z_i of the nondecreasing array z, over the n
-    products of _product_chunks, counted chunk by chunk with _counts_at_most."""
+    products of _pareto_chunks, counted chunk by chunk with stats.counts_at_most."""
     below = np.zeros(z.size, dtype=np.int64)
-    for x in _product_chunks(a, b, rng, n):
-        below += _counts_at_most(x, z)
+    for x in _pareto_chunks(indices, rng, n):
+        below += stats.counts_at_most(x, z)
     return below
 
 
-def _product_top(a, b, rng, n, k):
-    """The k + 1 largest of the n products of _product_chunks, unordered.
+def _top(indices, rng, n, k):
+    """The k + 1 largest of the n products of _pareto_chunks, unordered.
 
     Kept as a running partition of (top, chunk): the same multiset as the
     top k + 1 of the whole product, which is all a Hill estimate reads.
     """
     top = np.empty(0)
-    for x in _product_chunks(a, b, rng, n):
+    for x in _pareto_chunks(indices, rng, n):
         top = np.concatenate([top, x])
         if top.size > k + 1:
             top = np.partition(top, top.size - k - 1)[top.size - k - 1:]
     return top
-
-
-def _pareto_counts_above(law, rng, n, z):
-    """#{X > z_i} for each z_i, over X = draw_pareto(law, rng, n) drawn
-    PRODUCT_CHUNK at a time (the same samples: random() reads in order)."""
-    above = np.zeros(z.size, dtype=np.int64)
-    for start in range(0, n, PRODUCT_CHUNK):
-        x = draw_pareto(law, rng, min(PRODUCT_CHUNK, n - start))
-        above += [np.count_nonzero(x > t) for t in z]
-    return above
 
 
 def suite_tails(cfg, threads=1):
@@ -405,8 +373,8 @@ def suite_tails(cfg, threads=1):
         law = TailLaw(index)
         rng = stream_rng(cfg.seed, TAILS_STREAM + i, 0)
         zs = [mult * law.cutoff for mult in (2.0, 10.0, 100.0)]
-        # count / n is np.mean(x > z) exactly: an integer sum divided once
-        above = _pareto_counts_above(law, rng, n, np.array(zs))
+        # n - #{x <= z} = #{x > z} for finite draws; count / n is np.mean(x > z) exactly
+        above = n - _counts_below((index,), rng, n, np.array(zs))
         for z, count in zip(zs, above):
             p = float(law.survival(z))
             p_hat = int(count) / n
@@ -415,7 +383,7 @@ def suite_tails(cfg, threads=1):
             rows.append(_row("pareto-survival", f"index={index};x={z}", dev, 3.0, dev <= 3.0))
 
     rng = stream_rng(cfg.seed, TAILS_STREAM + 10, 0)
-    fit = stats.hill_estimator(_product_top(0.5, 0.8, rng, n, 10**4), 10**4)
+    fit = stats.hill_estimator(_top((0.5, 0.8), rng, n, 10**4), 10**4)
     dev = abs(fit.estimate - 0.5)
     rows.append(_row("product-tail-hill",
                      f"alpha=0.5;beta=0.8;N=1000000;k=10000;estimate={fit.estimate!r}",
@@ -423,7 +391,7 @@ def suite_tails(cfg, threads=1):
 
     rng = stream_rng(cfg.seed, TAILS_STREAM + 11, 0)
     zs = np.array([1e2, 1e3, 1e4])
-    p_hat = 1.0 - _product_counts_below(0.5, 0.5, rng, 10**7, zs) / 10**7
+    p_hat = 1.0 - _counts_below((0.5, 0.5), rng, 10**7, zs) / 10**7
     ratios = p_hat / stats.product_tail_theory(zs, 0.5)
     worst_step = float(np.max(np.diff(ratios)))
     rows.append(_row("product-tail-ratio-monotone",
@@ -438,14 +406,14 @@ def suite_critical(cfg, threads=1):
     """Log-correction fits: critical slope matches alpha, noncritical slope is flat."""
     z_grid = np.geomspace(1e2, 1e4, 25)
     rng = stream_rng(cfg.seed, CRITICAL_STREAM, 0)
-    below = _product_counts_below(0.5, 0.5, rng, 10**7, z_grid)
+    below = _counts_below((0.5, 0.5), rng, 10**7, z_grid)
     fit = stats.log_correction_fit_counts(10**7 - below, 10**7, z_grid, 0.5)
     rel = abs(fit.slope - 0.5) / 0.5
     rows = [_row("log-correction-slope-critical",
                  f"alpha=0.5;beta=0.5;N=10000000;slope={fit.slope!r}", rel, 0.20, rel <= 0.20)]
 
     rng = stream_rng(cfg.seed, CRITICAL_STREAM + 1, 0)
-    below = _product_counts_below(0.5, 0.8, rng, 10**7, z_grid)
+    below = _counts_below((0.5, 0.8), rng, 10**7, z_grid)
     fit_n = stats.log_correction_fit_counts(10**7 - below, 10**7, z_grid, 0.5)
     rows.append(_row("log-correction-flat-noncritical",
                      f"alpha=0.5;beta=0.8;N=10000000;slope={fit_n.slope!r};fit_se={fit_n.slope_se!r}",
@@ -613,12 +581,16 @@ def _interpolation_rows(cfg, n_paths=1000, n_times=100):
         delta = (H - G) * 1e-4
         p0 = continuous_limit_interpolation(path, ts)
         p1 = continuous_limit_interpolation(path, ts + delta)
-        jumps = np.linalg.norm(path.spatial_jumps(), axis=1)[k - 1]
+        spatial = path.spatial_jumps()
+        jumps = np.linalg.norm(spatial, axis=1)[k - 1]
         moved = np.linalg.norm(p1 - p0, axis=1)
         # times inside the snap window get their weight clamped to 0 or 1,
-        # so the admissible displacement widens by that window
+        # so the admissible displacement widens by that window; and both
+        # positions round at the scale of the partial sums they lie between
         snap = 1e-12 * np.maximum(1.0, np.maximum(np.abs(G), np.abs(H)))
-        allowed = jumps * ((delta + 2.0 * snap) / (H - G)) + 1e-12
+        sums = np.concatenate([[0.0], np.linalg.norm(np.cumsum(spatial, axis=0), axis=1)])
+        allowed = (jumps * ((delta + 2.0 * snap) / (H - G)) + 1e-12
+                   + 4.0 * np.finfo(float).eps * np.maximum(sums[k - 1], sums[k]))
         same_cell = ts + delta < H
         if np.any(same_cell):
             worst_excess = max(worst_excess, float((moved - allowed)[same_cell].max()))

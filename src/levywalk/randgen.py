@@ -172,8 +172,9 @@ class TailLaw:
     def __post_init__(self):
         if not 0.0 < self.index < 1.0:
             raise ValueError(f"index must be in (0,1), got {self.index}")
-        if self.cutoff <= 0.0:
-            raise ValueError(f"cutoff must be positive, got {self.cutoff}")
+        # written so that NaN fails, like the atom checks below
+        if not 0.0 < self.cutoff < math.inf:
+            raise ValueError(f"cutoff must be positive and finite, got {self.cutoff}")
 
     def survival(self, x):
         x = np.asarray(x, dtype=float)
@@ -235,6 +236,8 @@ class SpectralMeasure:
             raise ValueError("need at least one atom")
         if vectors.shape[1] != dimension:
             raise ValueError("atom vectors do not match dimension")
+        if probs.shape != (vectors.shape[0],):
+            raise ValueError(f"need one probability per atom, got shape {probs.shape}")
         # written so that NaN fails: every comparison with NaN is false
         norms = np.linalg.norm(vectors, axis=1)
         if not np.all(np.abs(norms - 1.0) <= 1e-12):

@@ -52,7 +52,6 @@ class Regime:
     alpha: float
     beta: float
     alpha_star: float
-    coupled: bool
 
     def space_norm(self, n) -> float:
         if self.kind == CRITICAL:
@@ -89,10 +88,10 @@ def classify_regime(alpha: float, beta: float) -> Regime:
     if not 0.0 < beta < 1.0:
         raise ValueError(f"beta must be in (0,1), got {beta}")
     if alpha < beta:
-        return Regime(SUBORDINATOR_DOMINATED, alpha, beta, alpha, True)
+        return Regime(SUBORDINATOR_DOMINATED, alpha, beta, alpha)
     if beta < alpha:
-        return Regime(VELOCITY_DOMINATED, alpha, beta, beta, False)
-    return Regime(CRITICAL, alpha, beta, alpha, False)
+        return Regime(VELOCITY_DOMINATED, alpha, beta, beta)
+    return Regime(CRITICAL, alpha, beta, alpha)
 
 
 @dataclass

@@ -1,7 +1,7 @@
 """Estimators and distances that turn limit statements into numbers.
 
-All estimators are pure functions of immutable sample arrays, or, for
-`log_correction_fit_counts`, of integer tail counts taken from them.
+All estimators are pure functions of sample arrays they leave unchanged, or
+of integer tail counts from `counts_at_most`, which reorders its sample.
 """
 
 from dataclasses import dataclass
@@ -17,6 +17,7 @@ __all__ = [
     "hill_estimator",
     "product_tail_theory",
     "ks_distance",
+    "counts_at_most",
     "log_correction_fit",
     "log_correction_fit_counts",
     "scaling_exponent_fit",
@@ -91,6 +92,31 @@ def ks_distance(a, b) -> float:
     return float(np.abs(fa - fb).max())
 
 
+# counts_at_most counts up to this many thresholds with one pass over the
+# sample each. On a 2^16 chunk of products (2-vCPU VM, numpy 2.4.6) a pass
+# costs about 0.02 ms, and partitioning at the lowest threshold and sorting
+# the 22-33 % above it costs 0.23-0.3 ms, so they cross at 12-16.
+FEW_THRESHOLDS = 12
+
+
+def counts_at_most(x, z):
+    """#{x <= z_i} for each z_i of the nondecreasing array z, reordering x in place.
+
+    With at most FEW_THRESHOLDS thresholds, each is one contiguous count.
+    With more, only the values above z[0] are sorted: a partition at
+    low = #{x <= z[0]} leaves exactly those in x[low:], and searchsorted
+    counts them at or below each z_i.
+    """
+    if z.size <= FEW_THRESHOLDS:
+        return np.array([np.count_nonzero(x <= t) for t in z], dtype=np.int64)
+    low = np.count_nonzero(x <= z[0])
+    if 0 < low < x.size:
+        x.partition(low)
+    above = x[low:]
+    above.sort()
+    return low + np.searchsorted(above, z, side="right")
+
+
 def log_correction_fit(samples, z_grid, alpha: float) -> LogCorrectionFit:
     """Least squares of y(z) = z^alpha * P_hat(X > z) against x = ln z.
 
@@ -108,11 +134,10 @@ def log_correction_fit(samples, z_grid, alpha: float) -> LogCorrectionFit:
     about 0.00024 while the Monte Carlo standard deviation of the slope
     is about 0.0015.
     """
-    x_samples = np.sort(np.asarray(samples, dtype=float))
-    z = np.asarray(z_grid, dtype=float)
-    _require_finite(x_samples[:1], x_samples[-1:])
-    tail_counts = x_samples.size - np.searchsorted(x_samples, z, side="right")
-    return log_correction_fit_counts(tail_counts, x_samples.size, z, alpha)
+    x = np.array(samples, dtype=float)  # a copy: counts_at_most reorders it
+    z = np.array(z_grid, dtype=float, ndmin=1)
+    _require_finite(x)
+    return log_correction_fit_counts(x.size - counts_at_most(x, z), x.size, z, alpha)
 
 
 def log_correction_fit_counts(tail_counts, n: int, z_grid, alpha: float) -> LogCorrectionFit:

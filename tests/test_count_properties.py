@@ -1,4 +1,4 @@
-"""Property test: _counts_at_most equals a search of the sorted chunk.
+"""Property test: counts_at_most equals a search of the sorted chunk.
 
 The tail suites count each chunk's products at or below a grid of
 thresholds. Over chunks with repeated values and thresholds on sample
@@ -12,7 +12,7 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from levywalk.harness import FEW_THRESHOLDS, _counts_at_most  # noqa: E402
+from levywalk.stats import FEW_THRESHOLDS, counts_at_most  # noqa: E402
 
 # few distinct values, so chunks repeat values and thresholds land on them
 values = st.integers(0, 20).map(float)
@@ -25,7 +25,7 @@ values = st.integers(0, 20).map(float)
 def test_counts_at_most_match_sorted_search(x, z):
     x, z = np.array(x, dtype=float), np.sort(np.array(z, dtype=float))
     chunk = x.copy()
-    counts = _counts_at_most(chunk, z)
+    counts = counts_at_most(chunk, z)
     np.testing.assert_array_equal(counts, np.searchsorted(np.sort(x), z, side="right"))
     assert counts.dtype == np.int64
     np.testing.assert_array_equal(np.sort(chunk), np.sort(x))

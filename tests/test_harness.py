@@ -10,13 +10,13 @@ import pytest
 from levywalk import (ConfigError, ExperimentConfig, SpectralMeasure, TailLaw,
                       ValidationError, classify_regime, parse_config,
                       rescaled_ensemble, run_simulate, run_suite)
-from levywalk.harness import (FEW_THRESHOLDS, INVARIANTS_MIN_ALPHA, INVARIANTS_MIN_BETA,
+from levywalk.harness import (INVARIANTS_MIN_ALPHA, INVARIANTS_MIN_BETA,
                               MAX_ENSEMBLE_VALUES, MAX_TRAJECTORIES, ReportRow,
-                              _counting_limit_rows, _counts_at_most, _determinism_row,
-                              _identity_rows, _interpolation_rows, _pareto_counts_above,
-                              _product_counts_below, _product_top, _validate,
+                              _counting_limit_rows, _counts_below, _determinism_row,
+                              _identity_rows, _interpolation_rows, _top, _validate,
                               _validate_suite, suite_critical, suite_tails,
                               write_ensemble, write_report_csv)
+from levywalk.stats import FEW_THRESHOLDS, counts_at_most
 from levywalk import cli, harness, stats
 from levywalk.cli import main as cli_main
 
@@ -257,7 +257,7 @@ def test_product_counts_match_one_shot(monkeypatch, a, b):
 
     monkeypatch.setattr(harness, "draw_pareto", recording_draw)
     rng = np.random.default_rng(7)
-    below = _product_counts_below(a, b, rng, n, z)
+    below = _counts_below((a, b), rng, n, z)
     np.testing.assert_array_equal(below, np.searchsorted(x_sorted, z, side="right"))
     assert [d.size for d in drawn[::2]] == [1000] * 4 + [321]
     chunks = np.concatenate([p * q for p, q in zip(drawn[::2], drawn[1::2])])
@@ -267,8 +267,8 @@ def test_product_counts_match_one_shot(monkeypatch, a, b):
 
 def test_product_counts_need_pcg64():
     with pytest.raises(TypeError, match="PCG64"):
-        _product_counts_below(0.5, 0.5, np.random.Generator(np.random.Philox(0)), 10,
-                              np.array([10.0]))
+        _counts_below((0.5, 0.5), np.random.Generator(np.random.Philox(0)), 10,
+                      np.array([10.0]))
 
 
 def test_product_counts_reject_non_finite(monkeypatch):
@@ -285,7 +285,7 @@ def test_product_counts_reject_non_finite(monkeypatch):
 
     monkeypatch.setattr(harness, "draw_pareto", draw_with_inf)
     with pytest.raises(ValueError, match="finite"):
-        _product_counts_below(0.5, 0.8, np.random.default_rng(0), 1000, np.array([10.0]))
+        _counts_below((0.5, 0.8), np.random.default_rng(0), 1000, np.array([10.0]))
 
 
 @pytest.mark.parametrize("index", [0.5, 0.8])
@@ -297,7 +297,7 @@ def test_pareto_counts_match_one_shot(monkeypatch, index):
     # grid points on sample values pin the side of the count: X > z
     z = np.concatenate([[2.0, 10.0, 100.0], np.sort(x)[[50, 3000]]])
     rng = np.random.default_rng(11)
-    above = _pareto_counts_above(TailLaw(index), rng, n, z)
+    above = n - _counts_below((index,), rng, n, z)
     assert [int(c) / n for c in above] == [float(np.mean(x > zi)) for zi in z]
     assert rng.bit_generator.state == rng_one.bit_generator.state
 
@@ -308,7 +308,7 @@ def test_pareto_counts_match_broadcast_count(monkeypatch):
     n, law = 4321, TailLaw(0.8)
     x = harness.draw_pareto(law, np.random.default_rng(13), n)
     z = np.concatenate([[2.0, 10.0, 100.0], x[[7, 4000]]])
-    above = _pareto_counts_above(law, np.random.default_rng(13), n, z)
+    above = n - _counts_below((0.8,), np.random.default_rng(13), n, z)
     np.testing.assert_array_equal(above, np.count_nonzero(x[:, None] > z, axis=0))
 
 
@@ -323,7 +323,7 @@ def test_counts_at_most_on_both_sides_of_the_switch(m):
     # an increasing grid with sample values on it, and a repeated value
     z = np.sort(np.concatenate([np.geomspace(10.0, 1e4, max(m - 2, 0)), x[[11, 11]]]))[:m]
     chunk = x.copy()
-    np.testing.assert_array_equal(_counts_at_most(chunk, z),
+    np.testing.assert_array_equal(counts_at_most(chunk, z),
                                   np.searchsorted(np.sort(x), z, side="right"))
     assert np.sort(chunk).tobytes() == np.sort(x).tobytes()
 
@@ -331,13 +331,13 @@ def test_counts_at_most_on_both_sides_of_the_switch(m):
 def test_counts_at_most_when_every_value_is_at_or_below_the_lowest_threshold():
     x = _products(1000, 4)
     z = np.concatenate([[x.max()], np.geomspace(2 * x.max(), 4 * x.max(), FEW_THRESHOLDS)])
-    np.testing.assert_array_equal(_counts_at_most(x.copy(), z), [x.size] * z.size)
+    np.testing.assert_array_equal(counts_at_most(x.copy(), z), [x.size] * z.size)
 
 
 def test_counts_at_most_when_every_value_is_above_the_lowest_threshold():
     x = _products(1000, 5)
     z = np.sort(np.concatenate([[0.5], x[[1, 2, 3]], np.geomspace(2.0, 1e5, FEW_THRESHOLDS)]))
-    np.testing.assert_array_equal(_counts_at_most(x.copy(), z),
+    np.testing.assert_array_equal(counts_at_most(x.copy(), z),
                                   np.searchsorted(np.sort(x), z, side="right"))
 
 
@@ -349,7 +349,7 @@ def test_product_top_matches_one_shot(monkeypatch, a, b):
     rng_one = np.random.default_rng(5)
     x = harness.draw_pareto(TailLaw(a), rng_one, n) * harness.draw_pareto(TailLaw(b), rng_one, n)
     rng = np.random.default_rng(5)
-    top = _product_top(a, b, rng, n, k)
+    top = _top((a, b), rng, n, k)
     assert np.sort(top).tobytes() == np.sort(x)[-k - 1:].tobytes()
     assert stats.hill_estimator(top, k) == stats.hill_estimator(x, k)
     assert rng.bit_generator.state == rng_one.bit_generator.state
@@ -357,7 +357,7 @@ def test_product_top_matches_one_shot(monkeypatch, a, b):
 
 def test_product_top_needs_pcg64():
     with pytest.raises(TypeError, match="PCG64"):
-        _product_top(0.5, 0.8, np.random.Generator(np.random.Philox(0)), 100, 20)
+        _top((0.5, 0.8), np.random.Generator(np.random.Philox(0)), 100, 20)
 
 
 def test_tail_suite_reports_match_golden_bytes(tmp_path):

@@ -89,8 +89,9 @@ class TestTailLaw:
         for bad in (0.0, 1.0, -0.2, 1.7):
             with pytest.raises(ValueError):
                 TailLaw(bad)
-        with pytest.raises(ValueError):
-            TailLaw(0.5, cutoff=-1.0)
+        for bad in (-1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="cutoff"):
+                TailLaw(0.5, cutoff=bad)
 
     def test_survival(self):
         law = TailLaw(0.5)
@@ -163,6 +164,14 @@ class TestSpectralMeasure:
             SpectralMeasure.atoms([[1.0, 0.0], [0.0, 1.0]], [1.2, -0.2])
         with pytest.raises(ValueError):
             SpectralMeasure(0)
+
+    @pytest.mark.parametrize("vectors,probs", [
+        ([[1.0, 0.0], [0.0, 1.0]], [0.5, 0.25, 0.25]),  # sample_direction raised IndexError
+        ([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]], [0.5, 0.5]),  # the third atom was never drawn
+    ])
+    def test_one_probability_per_atom(self, vectors, probs):
+        with pytest.raises(ValueError, match="one probability per atom"):
+            SpectralMeasure.atoms(vectors, probs)
 
     def test_degenerate_atom(self):
         m = SpectralMeasure.atoms([[1.0, 0.0]], [1.0])

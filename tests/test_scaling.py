@@ -19,7 +19,6 @@ class TestClassifyRegime:
         r = classify_regime(0.5, 0.8)
         assert r.kind == SUBORDINATOR_DOMINATED
         assert r.alpha_star == 0.5
-        assert r.coupled is True
         assert r.space_norm(10) == pytest.approx(100.0)
         assert r.time_norm(10) == pytest.approx(100.0)
 
@@ -27,14 +26,12 @@ class TestClassifyRegime:
         r = classify_regime(0.8, 0.5)
         assert r.kind == VELOCITY_DOMINATED
         assert r.alpha_star == 0.5
-        assert r.coupled is False
         assert r.space_norm(10) == pytest.approx(100.0)  # n^(1/beta)
         assert r.time_norm(10) == pytest.approx(10.0**1.25)
 
     def test_critical(self):
         r = classify_regime(0.5, 0.5)
         assert r.kind == CRITICAL
-        assert r.coupled is False
         assert r.space_norm(100) == pytest.approx((100.0 * math.log(100.0)) ** 2)
         assert r.time_norm(100) == pytest.approx(10**4)
         # the log factor needs n >= 2
