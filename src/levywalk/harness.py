@@ -47,6 +47,10 @@ MAX_TRAJECTORIES = 10**4
 # the tails and critical suites draw their Pareto samples and products in
 # pieces of this many samples (512 KiB of doubles) instead of holding them
 PRODUCT_CHUNK = 2**16
+# relative half-width of the band around each threshold of _counts_below's
+# proxy inside which a chunk is counted from its products; the proxy and the
+# products round at about 1e-16, so a chunk rarely falls back
+BAND = 1e-9
 # below these indices the invariants suite's fixed scales overflow floats:
 # with warnings as errors, at seeds 0-19, 2 seeds overflow at alpha = 0.04
 # (beta = 0.8) and 1 at beta = 0.04 (alpha = 0.5); none at 0.05
@@ -313,37 +317,93 @@ def _counting_limit_rows(cfg, threads, alpha=0.5, n=10**6, n_traj=10**4,
     return rows
 
 
-def _pareto_chunks(indices, rng, n):
-    """The n products of draw_pareto(TailLaw(a), rng, n) over a in indices,
-    the factors drawn one after another, yielded PRODUCT_CHUNK at a time.
+def _factor_rngs(indices, rng, n, start=0):
+    """One generator per factor of the one-shot product of n samples, each
+    at sample start of its factor.
 
-    The chunks are bit for bit those of the one-shot expression. Factor i
-    starts i * n doubles on, and random() reads one 64-bit word a double,
-    so a copy of the bit generator advanced by i * n words draws it. Once
-    the last chunk is taken, rng is in the state the one-shot draw leaves.
+    Factor i starts i * n doubles on, and random() reads one 64-bit word a
+    double, so a copy of the bit generator advanced by i * n + start words
+    draws it. rng itself is not moved.
     """
     if not isinstance(rng.bit_generator, np.random.PCG64):
         raise TypeError(f"need a PCG64 generator to skip ahead, "
                         f"got {type(rng.bit_generator).__name__}")
-    factors = [(TailLaw(a), np.random.Generator(copy.deepcopy(rng.bit_generator).advance(i * n)))
-               for i, a in enumerate(indices)]
+    return [np.random.Generator(copy.deepcopy(rng.bit_generator).advance(i * n + start))
+            for i in range(len(indices))]
+
+
+def _products(laws, rngs, m):
+    """The next m products of draw_pareto(law, rng_i, m) over the factors."""
+    x = draw_pareto(laws[0], rngs[0], m)
+    for law, rng_i in zip(laws[1:], rngs[1:]):
+        x = x * draw_pareto(law, rng_i, m)
+    if not np.isfinite(x).all():
+        raise ValueError("samples must be finite")
+    return x
+
+
+def _pareto_chunks(indices, rng, n):
+    """The n products of draw_pareto(TailLaw(a), rng, n) over a in indices,
+    the factors drawn one after another, yielded PRODUCT_CHUNK at a time.
+
+    The chunks are bit for bit those of the one-shot expression. Once the
+    last chunk is taken, rng is in the state the one-shot draw leaves.
+    """
+    laws = [TailLaw(a) for a in indices]
+    rngs = _factor_rngs(indices, rng, n)
     for start in range(0, n, PRODUCT_CHUNK):
-        m = min(PRODUCT_CHUNK, n - start)
-        x = draw_pareto(*factors[0], m)
-        for law, rng_i in factors[1:]:
-            x = x * draw_pareto(law, rng_i, m)
-        if not np.isfinite(x).all():
-            raise ValueError("samples must be finite")
-        yield x
+        yield _products(laws, rngs, min(PRODUCT_CHUNK, n - start))
     rng.bit_generator.advance(len(indices) * n)
 
 
 def _counts_below(indices, rng, n, z):
-    """#{X <= z_i} for each z_i of the nondecreasing array z, over the n
-    products of _pareto_chunks, counted chunk by chunk with stats.counts_at_most."""
+    """#{X <= z_j} for each z_j of the nondecreasing array z, over the n
+    products X of _pareto_chunks, counted from their uniforms.
+
+    With a_i = 1 - u_i (exact) for factor i's uniforms, a product is
+    X = p^(-1/alpha_1) for the proxy p = a_1 prod_{i>1} a_i^(alpha_1/alpha_i),
+    so X <= z_j exactly when p >= q_j = z_j^(-alpha_1): equal indices need
+    no pow at all. A chunk is counted from -p against -q_j (1 + BAND) and
+    -q_j (1 - BAND) with stats.counts_at_most, which the uniforms' buffers
+    hold in place of the uniforms. Where the rounding of p or of X could
+    decide a count, because some p lies inside a band, or where some
+    factor or product could overflow, because some p lies below
+    2^(-1000 alpha_1) (X above 2^1000), the chunk is drawn again from the
+    same words and counted from its products (_products, with its
+    finiteness check). So the counts, and any ValueError, are those of
+    _pareto_chunks.
+    """
+    laws = [TailLaw(a) for a in indices]
+    rngs = _factor_rngs(indices, rng, n)
+    lead = indices[0]
+    # every X is >= 1, so z < 1 counts none; the clamp keeps q finite and
+    # above 1 >= p
+    q = np.maximum(z, 0.5) ** -lead
+    edges = np.append(np.column_stack([-q * (1.0 + BAND), -q * (1.0 - BAND)]).ravel(),
+                      -2.0 ** (-1000.0 * lead))
+    order = np.argsort(edges, kind="stable")  # bands of close z_j overlap
+    sorted_edges = edges[order]
+    counts = np.empty(edges.size, dtype=np.int64)
     below = np.zeros(z.size, dtype=np.int64)
-    for x in _pareto_chunks(indices, rng, n):
-        below += stats.counts_at_most(x, z)
+    uniforms = [np.empty(min(PRODUCT_CHUNK, n)) for _ in indices]
+    for start in range(0, n, PRODUCT_CHUNK):
+        m = min(PRODUCT_CHUNK, n - start)
+        a = [rng_i.random(out=u[:m]) for rng_i, u in zip(rngs, uniforms)]
+        neg_p = np.subtract(a[0], 1.0, out=a[0])  # -a_1
+        for index, a_i in zip(indices[1:], a[1:]):
+            np.subtract(1.0, a_i, out=a_i)
+            if index != lead:
+                np.power(a_i, lead / index, out=a_i)
+            neg_p = np.multiply(neg_p, a_i, out=a_i)
+        counts[order] = stats.counts_at_most(neg_p, sorted_edges)
+        # #{p >= q_j (1 + BAND)}, #{p >= q_j (1 - BAND)}, #{p >= 2^(-1000 alpha_1)}
+        outer, inner, safe = counts[:-1:2], counts[1:-1:2], counts[-1]
+        if safe == m and np.array_equal(outer, inner):
+            below += outer
+        else:
+            x = _products(laws, _factor_rngs(indices, rng, n, start), m)
+            below += stats.counts_at_most(x, z)
+    rng.bit_generator.advance(len(indices) * n)
     return below
 
 

@@ -178,7 +178,10 @@ class TailLaw:
 
     def survival(self, x):
         x = np.asarray(x, dtype=float)
-        return np.where(x < self.cutoff, 1.0, (x / self.cutoff) ** (-self.index))
+        # the clamp keeps the power, which np.where evaluates everywhere,
+        # off zero and negative x; at or above the cutoff it is x itself
+        return np.where(x < self.cutoff, 1.0,
+                        (np.maximum(x, self.cutoff) / self.cutoff) ** (-self.index))
 
     @property
     def tail_constant(self):

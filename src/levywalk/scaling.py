@@ -11,6 +11,7 @@ Operational time is always rescaled by n^(1/alpha).
 """
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -149,7 +150,8 @@ def _parallel_fill(seed, stream, n_samples, threads, fill):
         return
     chunk = max(1, n_samples // (threads * 8))
     spans = [(lo, min(lo + chunk, n_samples)) for lo in range(0, n_samples, chunk)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
+    # the spans follow the requested count, the pool no more than the CPUs
+    with ThreadPoolExecutor(max_workers=min(threads, os.cpu_count() or 1)) as pool:
         list(pool.map(run, spans))
 
 
@@ -168,8 +170,8 @@ def rescaled_ensemble(duration_law: TailLaw, velocity_law, measure: SpectralMeas
         raise ValueError(f"unknown variant {variant!r}")
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    if t < 0.0:
-        raise ValueError("t must be nonnegative")
+    if not 0.0 <= t < math.inf:  # written so that NaN fails
+        raise ValueError(f"t must be nonnegative and finite, got {t}")
     space, time_, regime_kind, beta = _norms_for(duration_law, velocity_law, n)
     horizon = time_ * t
     out = np.empty((n_samples, measure.dimension))

@@ -115,8 +115,8 @@ def sample_trajectory(duration_law: TailLaw, velocity_law, measure: SpectralMeas
     all durations, and its positions continue from the last position, as
     in walk_endpoint.
     """
-    if horizon < 0.0:
-        raise ValueError("horizon must be nonnegative")
+    if not 0.0 <= horizon < math.inf:  # written so that NaN fails
+        raise ValueError(f"horizon must be nonnegative and finite, got {horizon}")
     size = _first_block_size(duration_law, horizon)
     T, V, U, R = [], [], [], []
     pos = [np.zeros((1, measure.dimension))]
@@ -149,8 +149,8 @@ def walk_endpoint(duration_law: TailLaw, velocity_law, measure: SpectralMeasure,
     """
     if variant not in (None, "wait-first", "jump-first", "continuous"):
         raise ValueError(f"unknown variant {variant!r}")
-    if horizon < 0.0:
-        raise ValueError("horizon must be nonnegative")
+    if not 0.0 <= horizon < math.inf:  # written so that NaN fails
+        raise ValueError(f"horizon must be nonnegative and finite, got {horizon}")
     speed_words = isinstance(velocity_law, TailLaw)  # fixed speeds read none
     one_word_directions = measure.dimension == 1 or not measure.is_uniform
     size = _first_block_size(duration_law, horizon)

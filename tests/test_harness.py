@@ -244,24 +244,32 @@ def test_product_counts_match_one_shot(monkeypatch, a, b):
     # a chunk that does not divide n leaves a short last chunk
     monkeypatch.setattr(harness, "PRODUCT_CHUNK", 1000)
     n = 4321
-    real, drawn = harness.draw_pareto, []
     rng_one = np.random.default_rng(7)
-    x = real(TailLaw(a), rng_one, n) * real(TailLaw(b), rng_one, n)
+    x = harness.draw_pareto(TailLaw(a), rng_one, n) * harness.draw_pareto(TailLaw(b), rng_one, n)
     x_sorted = np.sort(x)
     # grid points on sample values pin the side of the count: X <= z
     z = np.unique(np.concatenate([[0.5, 1.0, 10.0, 1e3, 1e6], x_sorted[[100, 2000, 4000]]]))
+    real, exact = harness._products, []
 
-    def recording_draw(law, rng, size):
-        drawn.append(real(law, rng, size))
-        return drawn[-1]
+    def recording_products(laws, rngs, m):
+        # the chunks counted from their products
+        exact.append(real(laws, rngs, m))
+        return exact[-1]
 
-    monkeypatch.setattr(harness, "draw_pareto", recording_draw)
+    monkeypatch.setattr(harness, "_products", recording_products)
     rng = np.random.default_rng(7)
     below = _counts_below((a, b), rng, n, z)
     np.testing.assert_array_equal(below, np.searchsorted(x_sorted, z, side="right"))
-    assert [d.size for d in drawn[::2]] == [1000] * 4 + [321]
-    chunks = np.concatenate([p * q for p, q in zip(drawn[::2], drawn[1::2])])
-    assert chunks.tobytes() == x.tobytes()
+    assert rng.bit_generator.state == rng_one.bit_generator.state
+    # the chunks holding the three sample values fall inside a band
+    assert 1 <= len(exact) <= 3
+    # a band wider than any proxy counts every chunk from its products
+    monkeypatch.setattr(harness, "BAND", math.inf)
+    exact.clear()
+    rng = np.random.default_rng(7)
+    np.testing.assert_array_equal(_counts_below((a, b), rng, n, z), below)
+    assert [c.size for c in exact] == [1000] * 4 + [321]
+    assert np.concatenate(exact).tobytes() == x.tobytes()
     assert rng.bit_generator.state == rng_one.bit_generator.state
 
 
@@ -272,20 +280,23 @@ def test_product_counts_need_pcg64():
 
 
 def test_product_counts_reject_non_finite(monkeypatch):
-    monkeypatch.setattr(harness, "PRODUCT_CHUNK", 100)
-    real = harness.draw_pareto
-    calls = []
-
-    def draw_with_inf(law, rng, size):
-        x = real(law, rng, size)
-        calls.append(size)
-        if len(calls) == 4:  # the second factor of the second chunk
-            x[17] = math.inf
-        return x
-
-    monkeypatch.setattr(harness, "draw_pareto", draw_with_inf)
-    with pytest.raises(ValueError, match="finite"):
-        _counts_below((0.5, 0.8), np.random.default_rng(0), 1000, np.array([10.0]))
+    # a factor of index 0.01 is (1 - u)^-100, which overflows once 1 - u is
+    # below about 8e-4; the finiteness check, not the power's warning, is
+    # what must raise
+    monkeypatch.setattr(harness, "PRODUCT_CHUNK", 1000)
+    n, z = 10**4, np.array([10.0, 1e3])
+    for indices in ((0.01,), (0.01, 0.8), (0.8, 0.01)):
+        with np.errstate(over="ignore"):
+            rng_one = np.random.default_rng(0)
+            x = np.prod([harness.draw_pareto(TailLaw(a), rng_one, n) for a in indices], axis=0)
+            assert not np.isfinite(x).all()
+            for band in (harness.BAND, math.inf):
+                monkeypatch.setattr(harness, "BAND", band)
+                rng = np.random.default_rng(0)
+                with pytest.raises(ValueError, match="finite"):
+                    _counts_below(indices, rng, n, z)
+                # as the one-shot draw, which raises before it can move rng
+                assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state
 
 
 @pytest.mark.parametrize("index", [0.5, 0.8])
@@ -360,16 +371,18 @@ def test_product_top_needs_pcg64():
         _top((0.5, 0.8), np.random.Generator(np.random.Philox(0)), 100, 20)
 
 
-def test_tail_suite_reports_match_golden_bytes(tmp_path):
-    # the reports of whole-array draws at seed 0; streaming must not move a
-    # byte, and log-correction-flat-noncritical stays the documented fail
+@pytest.mark.parametrize("seed", [0, 1])
+def test_tail_suite_reports_match_golden_bytes(tmp_path, seed):
+    # the reports of whole-array draws; streaming and counting from the
+    # uniforms must not move a byte, and log-correction-flat-noncritical
+    # stays the documented fail
     golden = os.path.join(os.path.dirname(__file__), "golden")
     cfg_path = tmp_path / "cfg.txt"
     cfg_path.write_text(MINIMAL)
     for suite, status in (("tails", 0), ("critical", 1)):
-        assert cli_main(["verify", suite, "--config", str(cfg_path), "--seed", "0",
+        assert cli_main(["verify", suite, "--config", str(cfg_path), "--seed", str(seed),
                          "--out", str(tmp_path / "out")]) == status
-        with open(os.path.join(golden, f"{suite}_report_seed0.csv"), "rb") as fh:
+        with open(os.path.join(golden, f"{suite}_report_seed{seed}.csv"), "rb") as fh:
             expected = fh.read()
         assert (tmp_path / "out" / suite / "report.csv").read_bytes() == expected
 

@@ -101,6 +101,16 @@ class TestTailLaw:
         assert law2.survival(2.0) == pytest.approx(1.0)
         assert law2.survival(20.0) == pytest.approx(10.0**-0.8)
 
+    def test_survival_below_cutoff(self):
+        # np.where evaluates the power at every x: at 0 it divided by zero
+        # and below 0 it was invalid, both errors under the warning filter
+        law = TailLaw(0.5, cutoff=2.0)
+        np.testing.assert_array_equal(law.survival([-3.0, 0.0, 1.0, 2.0]), [1.0, 1.0, 1.0, 1.0])
+        assert TailLaw(0.5).survival(0.0) == 1.0
+        # at or above the cutoff the values are those of the plain power
+        x = np.geomspace(2.0, 1e12, 101)
+        assert law.survival(x).tobytes() == ((x / 2.0) ** -0.5).tobytes()
+
     def test_tail_constant(self):
         assert TailLaw(0.5, cutoff=4.0).tail_constant == pytest.approx(2.0)
         assert TailLaw(0.3).tail_constant == pytest.approx(1.0)

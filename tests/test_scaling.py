@@ -10,6 +10,7 @@ from levywalk import (CRITICAL, SUBORDINATOR_DOMINATED, VELOCITY_DOMINATED,
                       continuous_limit_interpolation, draw_pareto,
                       joint_partial_sums, ks_distance, rescaled_ensemble,
                       sample_direction, stream_rng, walk_endpoint)
+from levywalk import scaling
 from levywalk.harness import LAPLACE_STREAM, _counting_limit_rows, parse_config
 from levywalk.randgen import SEED_BATCH
 
@@ -213,6 +214,42 @@ def test_joint_partial_sums_basic():
     # the alpha < beta case shares its dominant jumps between components
     from levywalk import spearman
     assert spearman(radial, dursum) > 0.3
+
+
+@pytest.mark.parametrize("t", [math.inf, -math.inf, math.nan])
+def test_rescaled_ensemble_rejects_non_finite_t(t):
+    with pytest.raises(ValueError, match="t must be nonnegative and finite"):
+        rescaled_ensemble(TailLaw(0.5), TailLaw(0.8), SpectralMeasure.uniform(1),
+                          "wait-first", 100, t, 10, 0, 0)
+
+
+def test_parallel_fill_pool_is_bounded_by_the_cpus(monkeypatch):
+    # a stand-in pool records its size and runs the spans in order, so no
+    # thread starts; the spans still follow the requested count
+    pools, spans = [], []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            spans.append(list(items))
+            return map(fn, spans[-1])
+
+    monkeypatch.setattr(scaling, "ThreadPoolExecutor", RecordingPool)
+    monkeypatch.setattr(scaling.os, "cpu_count", lambda: 2)
+    for threads, n_spans in ((4, 32), (10**6, 64)):
+        words = {}
+        scaling._parallel_fill(5, 936, 64, threads, lambda j, rng: words.setdefault(j, rng.random()))
+        assert pools[-1] == 2
+        assert len(spans[-1]) == n_spans
+        assert words == {j: stream_rng(5, 936, j).random() for j in range(64)}
 
 
 # not a multiple of the seeding batch, nor of any span size at 2 or 4 threads

@@ -245,6 +245,18 @@ def test_walk_endpoint_domain():
         sample_trajectory(*args, -1.0)
 
 
+@pytest.mark.parametrize("horizon", [math.inf, -math.inf, math.nan])
+def test_non_finite_horizon_is_named(horizon):
+    # inf used to reach int(inf) in the first block's size (a bare
+    # OverflowError), and NaN a float-to-integer conversion
+    args = (TailLaw(0.5), TailLaw(0.8), SpectralMeasure.uniform(2), stream_rng(0, 918, 0))
+    for variant in (None, "continuous"):
+        with pytest.raises(ValueError, match="horizon must be nonnegative and finite"):
+            walk_endpoint(*args, horizon, variant)
+    with pytest.raises(ValueError, match="horizon must be nonnegative and finite"):
+        sample_trajectory(*args, horizon)
+
+
 def test_expected_steps_matches_simulation():
     law = TailLaw(0.5)
     target = expected_steps(10**4, 0.5, law.tail_constant)
