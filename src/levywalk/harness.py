@@ -334,31 +334,19 @@ def _factor_rngs(indices, rng, n, start=0):
 
 def _products(laws, rngs, m):
     """The next m products of draw_pareto(law, rng_i, m) over the factors."""
-    x = draw_pareto(laws[0], rngs[0], m)
-    for law, rng_i in zip(laws[1:], rngs[1:]):
-        x = x * draw_pareto(law, rng_i, m)
+    with np.errstate(over="ignore"):  # an overflow is the finiteness check's to refuse
+        x = draw_pareto(laws[0], rngs[0], m)
+        for law, rng_i in zip(laws[1:], rngs[1:]):
+            x = x * draw_pareto(law, rng_i, m)
     if not np.isfinite(x).all():
         raise ValueError("samples must be finite")
     return x
 
 
-def _pareto_chunks(indices, rng, n):
-    """The n products of draw_pareto(TailLaw(a), rng, n) over a in indices,
-    the factors drawn one after another, yielded PRODUCT_CHUNK at a time.
-
-    The chunks are bit for bit those of the one-shot expression. Once the
-    last chunk is taken, rng is in the state the one-shot draw leaves.
-    """
-    laws = [TailLaw(a) for a in indices]
-    rngs = _factor_rngs(indices, rng, n)
-    for start in range(0, n, PRODUCT_CHUNK):
-        yield _products(laws, rngs, min(PRODUCT_CHUNK, n - start))
-    rng.bit_generator.advance(len(indices) * n)
-
-
 def _counts_below(indices, rng, n, z):
     """#{X <= z_j} for each z_j of the nondecreasing array z, over the n
-    products X of _pareto_chunks, counted from their uniforms.
+    products X of draw_pareto(TailLaw(a), rng, n) over a in indices, the
+    factors drawn one after another, counted from their uniforms.
 
     With a_i = 1 - u_i (exact) for factor i's uniforms, a product is
     X = p^(-1/alpha_1) for the proxy p = a_1 prod_{i>1} a_i^(alpha_1/alpha_i),
@@ -371,7 +359,8 @@ def _counts_below(indices, rng, n, z):
     2^(-1000 alpha_1) (X above 2^1000), the chunk is drawn again from the
     same words and counted from its products (_products, with its
     finiteness check). So the counts, and any ValueError, are those of
-    _pareto_chunks.
+    the one-shot product. Once counted, rng is in the state the one-shot
+    draw leaves.
     """
     laws = [TailLaw(a) for a in indices]
     rngs = _factor_rngs(indices, rng, n)
@@ -408,16 +397,26 @@ def _counts_below(indices, rng, n, z):
 
 
 def _top(indices, rng, n, k):
-    """The k + 1 largest of the n products of _pareto_chunks, unordered.
+    """The k + 1 largest of the n products of draw_pareto(TailLaw(a), rng, n)
+    over a in indices, unordered; rng is left as the one-shot draw leaves it.
 
-    Kept as a running partition of (top, chunk): the same multiset as the
-    top k + 1 of the whole product, which is all a Hill estimate reads.
+    The products are drawn PRODUCT_CHUNK at a time, bit for bit those of
+    the one-shot expression, and kept as a running partition of (top,
+    chunk): the same multiset as the top k + 1 of the whole product, which
+    is all a Hill estimate reads.
     """
+    laws = [TailLaw(a) for a in indices]
+    rngs = _factor_rngs(indices, rng, n)
     top = np.empty(0)
-    for x in _pareto_chunks(indices, rng, n):
+    for start in range(0, n, PRODUCT_CHUNK):
+        # x stays alive through the next chunk's draws: freed before them,
+        # glibc trims the heap top after each chunk and the Hill row takes
+        # about 4000 more page faults (5200 against 930 at n = 10^6)
+        x = _products(laws, rngs, min(PRODUCT_CHUNK, n - start))
         top = np.concatenate([top, x])
         if top.size > k + 1:
             top = np.partition(top, top.size - k - 1)[top.size - k - 1:]
+    rng.bit_generator.advance(len(indices) * n)
     return top
 
 

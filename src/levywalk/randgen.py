@@ -4,15 +4,17 @@ Everything here is driven by an explicit numpy Generator, so callers own
 reproducibility. For ensemble work use stream_rng(master, stream, index):
 sample index j of ensemble e always sees the same generator regardless of
 how the samples are scheduled across threads. Loops over a run of indices
-use _stream_rngs, which yields generators in the same states as
-stream_rng's, computed in batches without building a SeedSequence per
-index; stream_rng stays the reference that tests compare against.
+use _stream_rngs, which yields a fresh generator per index in the same
+state as stream_rng's, from seed words computed in batches without building
+a SeedSequence per index; stream_rng stays the reference that tests compare
+against.
 """
 
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .errors import PathTooShort
 
@@ -41,8 +43,8 @@ def stream_rng(master_seed: int, stream: int, index: int) -> np.random.Generator
     return np.random.default_rng(ss)
 
 
-# numpy's SeedSequence hash constants (pool of 4 uint32 words) and PCG64's
-# 128-bit LCG multiplier, as in numpy/random/bit_generator.pyx and pcg64.h
+# numpy's SeedSequence hash constants (pool of 4 uint32 words), as in
+# numpy/random/bit_generator.pyx
 _POOL_SIZE = 4
 _INIT_A = 0x43B0D7E5
 _MULT_A = 0x931E8875
@@ -51,112 +53,85 @@ _MULT_B = 0x58F38DED
 _MIX_MULT_L = 0xCA01F9DD
 _MIX_MULT_R = 0x4973F715
 _MASK32 = 2**32 - 1
-_MASK128 = 2**128 - 1
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-# sample indices whose PCG64 states _stream_rngs computes in one pass
+# sample indices whose PCG64 seeds _stream_rngs computes in one pass
 SEED_BATCH = 1024
-
-
-def _uint32_words(x):
-    """numpy's 32-bit words of a nonnegative int, least significant first."""
-    if x < 0:
-        raise ValueError(f"expected a nonnegative integer, got {x}")
-    words = [x & _MASK32]
-    while x > _MASK32:
-        x >>= 32
-        words.append(x & _MASK32)
-    return words
 
 
 def _hash_steps(h, mult, k):
     """What k successive SeedSequence hash steps from h xor a word with, and
-    then multiply it by, as two uint32 columns of shape (k, 1)."""
+    then multiply it by, as two uint32 arrays of length k."""
     xor, by = [], []
     for _ in range(k):
         xor.append(h)
         h = h * mult & _MASK32
         by.append(h)
-    return np.array(xor, dtype=np.uint32)[:, None], np.array(by, dtype=np.uint32)[:, None]
+    return np.array(xor, dtype=np.uint32), np.array(by, dtype=np.uint32)
 
 
 def _pcg64_seeds(master_seed, stream, j):
-    """The uint64 words generate_state(4, uint64) gives for each index in j.
+    """The words SeedSequence(master_seed, spawn_key=(stream, j_i)) gives
+    PCG64, generate_state(4, uint64), for each j_i of the uint32 array j.
 
-    Replays SeedSequence(master_seed, spawn_key=(stream, j)) over the
-    uint32 array j. The hash constants do not depend on the data, and every
-    word but j's is the same for all indices, so those stay Python ints,
-    masked to 32 bits. j's word is the last one hashed: it enters the four
-    pool words as one (4, n) uint32 chain, and the eight output words come
-    from one (8, n) chain; uint32 arithmetic wraps without a warning.
-    Returns four lists of ints.
+    Every word but j_i's is the same for all indices, so numpy mixes those
+    into SeedSequence(master_seed, spawn_key=(stream,)).pool. j_i's word is
+    hashed last, after 4 hash steps for each of the n words before it (the
+    seed padded to the pool, then the stream). It enters the pool as one
+    (len(j), 4) uint32 chain, and the eight output words come from one
+    (len(j), 8) chain; uint32 arithmetic wraps without a warning. Returns a
+    C-contiguous (len(j), 4) uint64 array, one index a row.
     """
-    run = _uint32_words(master_seed)
-    run += [0] * (_POOL_SIZE - len(run))  # numpy pads the entropy before a spawn key
-    shared = run + _uint32_words(stream)
-    h = _INIT_A
-
-    def hashmix(value):
-        nonlocal h
-        value = value ^ h
-        h = h * _MULT_A & _MASK32
-        value = value * h & _MASK32
-        return value ^ value >> 16
-
-    def mix(x, y):
-        r = ((_MIX_MULT_L * x & _MASK32) - (_MIX_MULT_R * y & _MASK32)) & _MASK32
-        return r ^ r >> 16
-
-    pool = [hashmix(w) for w in shared[:_POOL_SIZE]]
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for w in shared[_POOL_SIZE:]:
-        for dst in range(_POOL_SIZE):
-            pool[dst] = mix(pool[dst], hashmix(w))
+    pool = np.random.SeedSequence(master_seed, spawn_key=(stream,)).pool
+    # numpy splits an int into its uint32 words, at least one, and pads the
+    # seed's to the pool
+    n = max(_POOL_SIZE, (master_seed.bit_length() + 31) // 32)
+    n += max(1, (stream.bit_length() + 31) // 32)
     # j into pool word dst: mix(pool[dst], hashmix(j)), one hash step per dst
-    xor, by = _hash_steps(h, _MULT_A, _POOL_SIZE)
-    value = (j ^ xor) * by
+    xor, by = _hash_steps(_INIT_A * pow(_MULT_A, 4 * n, 2**32) & _MASK32, _MULT_A, _POOL_SIZE)
+    value = (j[:, None] ^ xor) * by
     value ^= value >> 16
-    scaled = np.array([_MIX_MULT_L * w & _MASK32 for w in pool], dtype=np.uint32)[:, None]
-    r = scaled - _MIX_MULT_R * value
+    r = pool * _MIX_MULT_L - _MIX_MULT_R * value
     pool = r ^ r >> 16
     # output word i hashes pool word i % 4
     xor, by = _hash_steps(_INIT_B, _MULT_B, 2 * _POOL_SIZE)
-    value = np.tile(pool, (2, 1))
+    value = np.tile(pool, 2)
     value ^= xor
     value *= by
     value ^= value >> 16
-    # little-endian pairs of uint32 words make the uint64 words
-    words = value[1::2].astype(np.uint64)
-    words <<= 32
-    words |= value[0::2]
-    return words.tolist()
+    # little-endian pairs of uint32 words make the uint64 words, as numpy does
+    return value.astype("<u4").view("<u8").astype(np.uint64)
+
+
+class _Words(ISeedSequence):
+    """A seed sequence that gives PCG64 the four words _pcg64_seeds computed.
+
+    PCG64 asks for generate_state(4, np.uint64) and reads the raw buffer of
+    what it gets, so words must be a contiguous uint64 array: a row of a
+    transposed view would seed the wrong state.
+    """
+
+    def __init__(self, words):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
 
 
 def _stream_rngs(master_seed: int, stream: int, lo: int, hi: int):
     """Yield (j, stream_rng(master_seed, stream, j)) for j in [lo, hi), seeded in batches.
 
-    The PCG64 states of SEED_BATCH indices at a time come from one
-    vectorised pass (_pcg64_seeds) and PCG64's seeding step, then one
-    Generator is re-stated for each index: the same draws as stream_rng,
-    at a fraction of its cost. The yielded generator is valid until the
-    next one is yielded. Indices must lie in [0, 2^32), where a spawn key
+    The seed words of SEED_BATCH indices at a time come from one
+    vectorised pass (_pcg64_seeds), and each index gets a fresh Generator
+    that PCG64 seeds from its row: the same draws as stream_rng, at a
+    fraction of its cost. Indices must lie in [0, 2^32), where a spawn key
     index takes one word.
     """
     if lo < hi and not (0 <= lo and hi <= 2**32):
         raise ValueError(f"sample indices [{lo}, {hi}) leave [0, 2^32)")
-    bitgen = np.random.PCG64(0)
-    rng = np.random.Generator(bitgen)
     for start in range(lo, hi, SEED_BATCH):
         stop = min(start + SEED_BATCH, hi)
         seeds = _pcg64_seeds(int(master_seed), int(stream), np.arange(start, stop, dtype=np.uint32))
-        for j, s0, s1, i0, i1 in zip(range(start, stop), *seeds):
-            inc = ((i0 << 64 | i1) << 1 | 1) & _MASK128
-            state = ((inc + (s0 << 64 | s1)) * _PCG_MULT + inc) & _MASK128
-            bitgen.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-                            "has_uint32": 0, "uinteger": 0}
-            yield j, rng
+        for j, words in zip(range(start, stop), seeds):
+            yield j, np.random.Generator(np.random.PCG64(_Words(words)))
 
 
 @dataclass(frozen=True)
@@ -382,33 +357,22 @@ def build_subordinator_path(
     inc = delta_tau ** (1.0 / alpha) * positive_stable(alpha, rng, m)
     mark_v = mark_u = None
     if mark_jumps:
-        mark_v, mark_u = _draw_marks(m, rng, velocity_law, measure)
+        if velocity_law is None or measure is None:
+            raise ValueError("mark_jumps requires velocity_law and measure")
+        mark_v, mark_u = _draw_speeds(velocity_law, rng, m), sample_direction(measure, rng, m)
     return SubordinatorPath(alpha, delta_tau, inc, mark_v=mark_v, mark_u=mark_u)
 
 
-def _draw_marks(m, rng, velocity_law, measure):
-    if velocity_law is None or measure is None:
-        raise ValueError("mark_jumps requires velocity_law and measure")
-    return _draw_speeds(velocity_law, rng, m), sample_direction(measure, rng, m)
+def extend_subordinator_path(path: SubordinatorPath, rng, extra_tau: float) -> SubordinatorPath:
+    """Append fresh increments covering extra_tau more operational time.
 
-
-def extend_subordinator_path(path: SubordinatorPath, rng, extra_tau: float,
-                             velocity_law=None, measure=None) -> SubordinatorPath:
-    """Append fresh increments covering extra_tau more operational time."""
+    An unmarked path only: the new increments would carry no marks.
+    """
+    if path.marked:
+        raise ValueError("cannot extend a marked path")
     m = int(math.ceil(extra_tau / path.delta_tau))
     inc = path.delta_tau ** (1.0 / path.alpha) * positive_stable(path.alpha, rng, m)
-    mark_v = mark_u = None
-    if path.marked:
-        mark_v, mark_u = _draw_marks(m, rng, velocity_law, measure)
-        mark_v = np.concatenate([path.mark_v, mark_v])
-        mark_u = np.concatenate([path.mark_u, mark_u])
-    return SubordinatorPath(
-        path.alpha,
-        path.delta_tau,
-        np.concatenate([path.increments, inc]),
-        mark_v=mark_v,
-        mark_u=mark_u,
-    )
+    return SubordinatorPath(path.alpha, path.delta_tau, np.concatenate([path.increments, inc]))
 
 
 def inverse_subordinator(path: SubordinatorPath, t):

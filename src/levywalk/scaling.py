@@ -137,8 +137,8 @@ def _norms_for(duration_law, velocity_law, n):
 def _parallel_fill(seed, stream, n_samples, threads, fill):
     """Run fill(j, rng) for every sample index j, chunked over a thread pool.
 
-    rng draws what stream_rng(seed, stream, j) would. Each span re-states
-    its own generator (randgen._stream_rngs), so the partition cannot
+    rng draws what stream_rng(seed, stream, j) would. Each index gets a
+    generator of its own (randgen._stream_rngs), so the partition cannot
     change any output.
     """
     def run(span):

@@ -54,22 +54,22 @@ def test_counts_at_most_match_sorted_search(x, z):
          band=harness.BAND)
 @example(indices=[0.5, 0.01], chunk=1000, n=3000, seed=1, picks=[], extra=[2.0], band=1e300)
 def test_product_counts_match_one_shot_product(indices, chunk, n, seed, picks, extra, band):
-    with np.errstate(over="ignore"):  # an overflowing draw is the finiteness check's to refuse
+    with np.errstate(over="ignore"):  # the reference may overflow; _counts_below must refuse it
         rng_one = np.random.default_rng(seed)
         x = draw_pareto(TailLaw(indices[0]), rng_one, n)
         for index in indices[1:]:
             x = x * draw_pareto(TailLaw(index), rng_one, n)
-        x_sorted = np.sort(x)
-        finite = x_sorted[np.isfinite(x_sorted)]
-        on_samples = [finite[int(p * (finite.size - 1))] for p in picks if finite.size]
-        z = np.sort(np.array(on_samples + extra, dtype=float))
-        rng = np.random.default_rng(seed)
-        with mock.patch.object(harness, "PRODUCT_CHUNK", chunk), \
-                mock.patch.object(harness, "BAND", band):
-            if finite.size < n:
-                with pytest.raises(ValueError, match="finite"):
-                    harness._counts_below(tuple(indices), rng, n, z)
-                return
-            below = harness._counts_below(tuple(indices), rng, n, z)
+    x_sorted = np.sort(x)
+    finite = x_sorted[np.isfinite(x_sorted)]
+    on_samples = [finite[int(p * (finite.size - 1))] for p in picks if finite.size]
+    z = np.sort(np.array(on_samples + extra, dtype=float))
+    rng = np.random.default_rng(seed)
+    with mock.patch.object(harness, "PRODUCT_CHUNK", chunk), \
+            mock.patch.object(harness, "BAND", band):
+        if finite.size < n:
+            with pytest.raises(ValueError, match="finite"):
+                harness._counts_below(tuple(indices), rng, n, z)
+            return
+        below = harness._counts_below(tuple(indices), rng, n, z)
     np.testing.assert_array_equal(below, np.searchsorted(x_sorted, z, side="right"))
     assert rng.bit_generator.state == rng_one.bit_generator.state

@@ -282,21 +282,21 @@ def test_product_counts_need_pcg64():
 def test_product_counts_reject_non_finite(monkeypatch):
     # a factor of index 0.01 is (1 - u)^-100, which overflows once 1 - u is
     # below about 8e-4; the finiteness check, not the power's warning, is
-    # what must raise
+    # what must raise, with warnings as errors
     monkeypatch.setattr(harness, "PRODUCT_CHUNK", 1000)
     n, z = 10**4, np.array([10.0, 1e3])
     for indices in ((0.01,), (0.01, 0.8), (0.8, 0.01)):
         with np.errstate(over="ignore"):
             rng_one = np.random.default_rng(0)
             x = np.prod([harness.draw_pareto(TailLaw(a), rng_one, n) for a in indices], axis=0)
-            assert not np.isfinite(x).all()
-            for band in (harness.BAND, math.inf):
-                monkeypatch.setattr(harness, "BAND", band)
-                rng = np.random.default_rng(0)
-                with pytest.raises(ValueError, match="finite"):
-                    _counts_below(indices, rng, n, z)
-                # as the one-shot draw, which raises before it can move rng
-                assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state
+        assert not np.isfinite(x).all()
+        for band in (harness.BAND, math.inf):
+            monkeypatch.setattr(harness, "BAND", band)
+            rng = np.random.default_rng(0)
+            with pytest.raises(ValueError, match="finite"):
+                _counts_below(indices, rng, n, z)
+            # as the one-shot draw, which raises before it can move rng
+            assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state
 
 
 @pytest.mark.parametrize("index", [0.5, 0.8])

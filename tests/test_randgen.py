@@ -66,6 +66,23 @@ def test_stream_rngs_match_stream_rng_at_random_triples():
             assert_same_generator(rng, seed, stream, j)
 
 
+def test_stream_rngs_yield_a_generator_per_index():
+    # taken before any is drawn from: each keeps its own state
+    taken = list(_stream_rngs(5, 600, 0, 3))
+    assert [j for j, _ in taken] == [0, 1, 2]
+    for j, rng in taken:
+        assert_same_generator(rng, 5, 600, j)
+
+
+# numpy pads a spawn key's seed to four uint32 words and splits each int
+# into as many words as it needs
+@pytest.mark.parametrize("seed,stream", [(2**128 - 1, 600), (2**128, 600), (2**160 + 5, 3),
+                                         (0, 2**32), (2**128, 2**64 + 7)])
+def test_stream_rngs_match_stream_rng_at_multiword_seeds_and_streams(seed, stream):
+    for j, rng in _stream_rngs(seed, stream, 2**32 - 2, 2**32):
+        assert_same_generator(rng, seed, stream, j)
+
+
 def test_stream_rngs_reject_indices_outside_one_word():
     for lo, hi in ((-1, 2), (2**32, 2**32 + 1), (2**32 - 1, 2**32 + 1)):
         with pytest.raises(ValueError):
@@ -283,6 +300,13 @@ class TestSubordinatorPath:
             build_subordinator_path(0.5, 1.0, 0.1, stream_rng(0, 906, 2), mark_jumps=True)
         with pytest.raises(ValueError):
             build_subordinator_path(0.5, 1.0, 2.0, stream_rng(0, 906, 3))  # delta > tau_max
+
+    def test_extend_refuses_a_marked_path(self):
+        rng = stream_rng(0, 906, 5)
+        path = build_subordinator_path(0.5, 1.0, 0.1, rng, mark_jumps=True,
+                                       velocity_law=TailLaw(0.8), measure=SpectralMeasure.uniform(2))
+        with pytest.raises(ValueError, match="marked"):
+            extend_subordinator_path(path, rng, 1.0)
 
     def test_extend_preserves_prefix(self):
         rng = stream_rng(0, 906, 4)
