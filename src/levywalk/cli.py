@@ -5,9 +5,12 @@
     levywalk report [--out DIR]
 
 verify exits 0 iff every report row passes; a config that cannot be read,
-parsed or validated exits 2. Rerunning with the same config
-and seed rewrites byte-identical artifacts whatever --threads is; it must
-be at least 1, and counts above os.cpu_count() are lowered to it.
+parsed or validated exits 2, and so does a run whose output directory
+(<out>/simulate or <out>/<suite>) already exists, or one that a config
+field makes fail, such as an ensemble that overflows. Running the same
+config and seed into a new directory writes byte-identical artifacts
+whatever --threads is; it must be at least 1, and counts above
+os.cpu_count() are lowered to it.
 """
 
 import argparse
@@ -76,9 +79,13 @@ def main(argv=None) -> int:
     except ValidationError as exc:
         print(f"config validation error: {exc}", file=sys.stderr)
         return 2
-    if args.command == "simulate":
-        return run_simulate(cfg, cfg.out, args.threads)
-    return run_suite(cfg, args.suite, cfg.out, args.threads)
+    try:
+        if args.command == "simulate":
+            return run_simulate(cfg, cfg.out, args.threads)
+        return run_suite(cfg, args.suite, cfg.out, args.threads)
+    except ValidationError as exc:
+        print(f"run refused: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

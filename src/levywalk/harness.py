@@ -8,10 +8,13 @@ every sample j of every ensemble e draws from stream_rng(seed, e, j) and
 results are merged by sample index.
 """
 
+import contextlib
 import copy
 import json
 import math
 import os
+import shutil
+import tempfile
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -20,7 +23,7 @@ from .errors import ConfigError, ValidationError
 from .randgen import (TailLaw, SpectralMeasure, _stream_rngs, build_subordinator_path,
                       draw_pareto, positive_stable, stream_rng)
 from .walk import (position_continuous, position_jump_first, position_wait_first,
-                   renewal_count, sample_trajectory, walk_endpoint,
+                   renewal_count, renewal_counts, sample_trajectory,
                    write_trajectory_csv)
 from .scaling import (VARIANTS, classify_regime,
                       continuous_limit_interpolation, joint_partial_sums,
@@ -288,10 +291,11 @@ def _counting_limit_rows(cfg, threads, alpha=0.5, n=10**6, n_traj=10**4,
     measure = SpectralMeasure.uniform(1)
     counts = np.empty(n_traj)
 
-    def fill_count(j, rng):
-        counts[j] = walk_endpoint(law, 1.0, measure, rng, float(n))[0]
+    def fill_counts(lo, rngs):
+        span = renewal_counts(law, 1.0, measure, rngs, float(n))
+        counts[lo:lo + span.size] = span
 
-    _parallel_fill(cfg.seed, LAPLACE_STREAM + 10, n_traj, threads, fill_count)
+    _parallel_fill(cfg.seed, LAPLACE_STREAM + 10, n_traj, threads, fill_counts)
     walk_mean = float(counts.mean()) * n ** (-alpha)
 
     # one passage per sample at quarter resolution; the passage times at
@@ -691,20 +695,53 @@ _SUITE_FUNCS = {
 }
 
 
+def _write_run(cfg, out_dir, name, run):
+    """Call run(dirpath) on a fresh directory and move it to out_dir/name once run returns.
+
+    An existing out_dir/name is refused with a ValidationError naming `out`
+    before anything runs, so a rerun never mixes its files with an earlier
+    run's. The directory is filled inside a temporary sibling, so a run that
+    raises leaves no partial directory behind (nor an out_dir it made).
+    """
+    out_dir = out_dir or os.curdir
+    exp_dir = os.path.join(out_dir, name)
+    if os.path.lexists(exp_dir):
+        raise ValidationError("out", f"{exp_dir!r} already exists; remove it or "
+                              f"choose another out")
+    made_out = not os.path.isdir(out_dir)
+    os.makedirs(out_dir, exist_ok=True)
+    stage = tempfile.mkdtemp(prefix=f".{name}-", dir=out_dir)
+    try:
+        # mkdtemp's directory is private (0700); the one moved into place is
+        # made inside it, so it has the permissions any new directory gets
+        work = os.path.join(stage, name)
+        os.mkdir(work)
+        with open(os.path.join(work, "config.txt"), "w", newline="\n") as fh:
+            fh.write(cfg.serialize())
+        status = run(work)
+        os.rename(work, exp_dir)
+    finally:
+        shutil.rmtree(stage, ignore_errors=True)
+        if made_out and not os.path.exists(exp_dir):
+            with contextlib.suppress(OSError):
+                os.rmdir(out_dir)  # only if the failed run left it empty
+    return status
+
+
 def run_suite(cfg: ExperimentConfig, suite: str, out_dir: str, threads: int = 1) -> int:
-    """Run one named suite, persist artifacts and report. Returns exit status."""
+    """Run one named suite into out_dir/suite, with its artifacts and report. Returns exit status."""
     if suite not in _SUITE_FUNCS:
         raise ValueError(f"unknown suite {suite!r}; choose from {SUITES}")
     _validate_suite(cfg, suite)
-    exp_dir = os.path.join(out_dir, suite)
-    os.makedirs(exp_dir, exist_ok=True)
-    with open(os.path.join(exp_dir, "config.txt"), "w", newline="\n") as fh:
-        fh.write(cfg.serialize())
-    rows, artifacts = _SUITE_FUNCS[suite](cfg, threads)
-    for name, snap in artifacts:
-        write_ensemble(exp_dir, name, snap)
-    write_report_csv(os.path.join(exp_dir, "report.csv"), rows)
-    return 0 if all(r.passed for r in rows) else 1
+
+    def run(exp_dir):
+        rows, artifacts = _SUITE_FUNCS[suite](cfg, threads)
+        for name, snap in artifacts:
+            write_ensemble(exp_dir, name, snap)
+        write_report_csv(os.path.join(exp_dir, "report.csv"), rows)
+        return 0 if all(r.passed for r in rows) else 1
+
+    return _write_run(cfg, out_dir, suite, run)
 
 
 def _ensemble_name(n, t):
@@ -712,27 +749,32 @@ def _ensemble_name(n, t):
 
 
 def run_simulate(cfg: ExperimentConfig, out_dir: str, threads: int = 1) -> int:
-    """Dump trajectories and rescaled ensembles for the configured model."""
-    exp_dir = os.path.join(out_dir, "simulate")
-    os.makedirs(exp_dir, exist_ok=True)
-    with open(os.path.join(exp_dir, "config.txt"), "w", newline="\n") as fh:
-        fh.write(cfg.serialize())
+    """Dump trajectories and rescaled ensembles for the configured model into out_dir/simulate."""
     dur, vel = TailLaw(cfg.alpha), TailLaw(cfg.beta)
     measure = cfg.spectral_measure()
-    stream = SIM_STREAM
-    for n in cfg.n_grid:
-        for t in cfg.t_grid:
-            snap = rescaled_ensemble(dur, vel, measure, cfg.variant, n, t,
-                                     cfg.n_samples, cfg.seed, stream, threads)
-            write_ensemble(exp_dir, _ensemble_name(n, t), snap)
-            stream += 1
-    regime = classify_regime(cfg.alpha, cfg.beta)
-    horizon = regime.time_norm(cfg.n_grid[0]) * max(cfg.t_grid)
-    for k, rng in _stream_rngs(cfg.seed, TRAJ_STREAM, 0, cfg.trajectories):
-        traj = sample_trajectory(dur, vel, measure, rng, horizon)
-        with open(os.path.join(exp_dir, f"trajectory_{k}.csv"), "w", newline="\n") as fh:
-            write_trajectory_csv(traj, fh)
-    return 0
+
+    def run(exp_dir):
+        stream = SIM_STREAM
+        for n in cfg.n_grid:
+            for t in cfg.t_grid:
+                snap = rescaled_ensemble(dur, vel, measure, cfg.variant, n, t,
+                                         cfg.n_samples, cfg.seed, stream, threads)
+                if not np.isfinite(snap.values).all():
+                    raise ValidationError(
+                        "n_grid", f"the ensemble at n = {n}, t = {t:g} holds a non-finite "
+                        f"position at alpha = {cfg.alpha}, beta = {cfg.beta}: a step "
+                        f"overflows a float; use a smaller n")
+                write_ensemble(exp_dir, _ensemble_name(n, t), snap)
+                stream += 1
+        regime = classify_regime(cfg.alpha, cfg.beta)
+        horizon = regime.time_norm(cfg.n_grid[0]) * max(cfg.t_grid)
+        for k, rng in _stream_rngs(cfg.seed, TRAJ_STREAM, 0, cfg.trajectories):
+            traj = sample_trajectory(dur, vel, measure, rng, horizon)
+            with open(os.path.join(exp_dir, f"trajectory_{k}.csv"), "w", newline="\n") as fh:
+                write_trajectory_csv(traj, fh)
+        return 0
+
+    return _write_run(cfg, out_dir, "simulate", run)
 
 
 def aggregate_reports(out_dir: str) -> int:

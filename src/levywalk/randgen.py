@@ -178,8 +178,16 @@ def draw_pareto(law: TailLaw, rng, size=None):
     # 1 - random() lies in (0,1], and u=1 maps to the support boundary.
     if size is None:
         return law.cutoff * (1.0 - rng.random()) ** (-1.0 / law.index)
-    # the same three operations, in place on the one array
-    x = rng.random(size)
+    return _pareto_from_uniforms(law, rng.random(size))
+
+
+def _pareto_from_uniforms(law, x):
+    """cutoff * (1 - x)^(-1/index) for the uniforms x, in place: draw_pareto's variates.
+
+    The same three operations as the scalar form, on an array of any shape,
+    so a block of uniforms drawn elsewhere becomes the floats draw_pareto
+    would give for them.
+    """
     np.subtract(1.0, x, out=x)
     np.power(x, -1.0 / law.index, out=x)
     x *= law.cutoff

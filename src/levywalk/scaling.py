@@ -135,15 +135,15 @@ def _norms_for(duration_law, velocity_law, n):
 
 
 def _parallel_fill(seed, stream, n_samples, threads, fill):
-    """Run fill(j, rng) for every sample index j, chunked over a thread pool.
+    """Run fill(lo, rngs) once for each span [lo, hi) of sample indices, over a thread pool.
 
-    rng draws what stream_rng(seed, stream, j) would. Each index gets a
-    generator of its own (randgen._stream_rngs), so the partition cannot
-    change any output.
+    rngs is an iterator whose generators draw what stream_rng(seed, stream, j)
+    would for j = lo, lo + 1, ..., hi - 1, made as it is read. Each index
+    gets a generator of its own (randgen._stream_rngs), so the partition
+    cannot change any output. At one thread the one span is every sample.
     """
     def run(span):
-        for j, rng in _stream_rngs(seed, stream, *span):
-            fill(j, rng)
+        fill(span[0], (rng for _, rng in _stream_rngs(seed, stream, *span)))
 
     if threads <= 1:
         run((0, n_samples))
@@ -176,8 +176,9 @@ def rescaled_ensemble(duration_law: TailLaw, velocity_law, measure: SpectralMeas
     horizon = time_ * t
     out = np.empty((n_samples, measure.dimension))
 
-    def fill(j, rng):
-        out[j] = walk_endpoint(duration_law, velocity_law, measure, rng, horizon, variant)[1]
+    def fill(lo, rngs):
+        for j, rng in enumerate(rngs, lo):
+            out[j] = walk_endpoint(duration_law, velocity_law, measure, rng, horizon, variant)[1]
 
     _parallel_fill(seed, stream, n_samples, threads, fill)
     return EnsembleSnapshot(
@@ -231,15 +232,16 @@ def joint_partial_sums(duration_law: TailLaw, velocity_law: TailLaw,
     radial = np.empty(n_samples)
     dursum = np.empty(n_samples)
 
-    def fill(j, rng):
-        T = draw_pareto(duration_law, rng, n)
-        V = draw_pareto(velocity_law, rng, n)
-        U = sample_direction(measure, rng, n)
-        w = V * T
-        # at d = 1 sum(axis=0) adds pairwise, so a cumsum would change bits
-        jump_sum = (w[:, None] * U).sum(axis=0) if U.shape[1] == 1 else _jump_sum(w, U)
-        radial[j] = np.linalg.norm(jump_sum) / space
-        dursum[j] = T.sum() / time_
+    def fill(lo, rngs):
+        for j, rng in enumerate(rngs, lo):
+            T = draw_pareto(duration_law, rng, n)
+            V = draw_pareto(velocity_law, rng, n)
+            U = sample_direction(measure, rng, n)
+            w = V * T
+            # at d = 1 sum(axis=0) adds pairwise, so a cumsum would change bits
+            jump_sum = (w[:, None] * U).sum(axis=0) if U.shape[1] == 1 else _jump_sum(w, U)
+            radial[j] = np.linalg.norm(jump_sum) / space
+            dursum[j] = T.sum() / time_
 
     _parallel_fill(seed, stream, n_samples, threads, fill)
     return radial, dursum

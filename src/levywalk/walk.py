@@ -11,25 +11,29 @@ P_k = sum_{i<=k} J_i. The three evaluations at physical time t:
 where N(t) = max{k : R_k <= t} counts completed steps, inclusive at ties.
 Steps are drawn in doubling blocks until one passes the horizon, because
 mean duration is infinite and no fixed count covers it; a Trajectory is
-then a plain record of the steps drawn. walk_endpoint evaluates one
-variant at one time without keeping the steps. It reads the generator in
-the same blocks but draws only the words its variant reads, skipping the
-rest so that every later draw is unchanged; so its values are
-bit-identical to a Trajectory's.
+then a plain record of the steps drawn. Two kernels evaluate a walk at
+one time without keeping its steps, reading the generator in the same
+blocks but drawing only the words they read and skipping the rest, so
+that every later draw is unchanged and their values are bit-identical to
+a Trajectory's: walk_endpoint gives one walk's count and position for a
+variant, and renewal_counts gives the counts alone of many walks,
+advancing a span of them together a piece of durations at a time.
 """
 
+import itertools
 import math
 
 import numpy as np
 
 from .errors import TrajectoryExhausted
-from .randgen import (TailLaw, SpectralMeasure, _draw_speeds, draw_pareto,
-                      sample_direction)
+from .randgen import (TailLaw, SpectralMeasure, _draw_speeds, _pareto_from_uniforms,
+                      draw_pareto, sample_direction)
 
 __all__ = [
     "Trajectory",
     "sample_trajectory",
     "walk_endpoint",
+    "renewal_counts",
     "expected_steps",
     "renewal_count",
     "position_wait_first",
@@ -115,8 +119,7 @@ def sample_trajectory(duration_law: TailLaw, velocity_law, measure: SpectralMeas
     all durations, and its positions continue from the last position, as
     in walk_endpoint.
     """
-    if not 0.0 <= horizon < math.inf:  # written so that NaN fails
-        raise ValueError(f"horizon must be nonnegative and finite, got {horizon}")
+    _check_horizon(horizon)
     size = _first_block_size(duration_law, horizon)
     T, V, U, R = [], [], [], []
     pos = [np.zeros((1, measure.dimension))]
@@ -132,27 +135,22 @@ def sample_trajectory(duration_law: TailLaw, velocity_law, measure: SpectralMeas
 
 
 def walk_endpoint(duration_law: TailLaw, velocity_law, measure: SpectralMeasure,
-                  rng, horizon: float, variant=None):
+                  rng, horizon: float, variant):
     """(N(horizon), position at horizon) of a fresh walk, without storing its steps.
 
-    variant is "wait-first", "jump-first" or "continuous"; None counts
-    steps only and returns None for the position. The generator is read in
-    sample_trajectory's blocks (T, then V, then U), but only the words the
-    variant reads are drawn: the rest are skipped with _skip, which leaves
-    every later draw where it was. So both equal what renewal_count and the
-    position_* functions give on
+    variant is "wait-first", "jump-first" or "continuous". The generator is
+    read in sample_trajectory's blocks (T, then V, then U), but only the
+    words the variant reads are drawn: the rest are skipped with _skip,
+    which leaves every later draw where it was. So both equal what
+    renewal_count and the position_* function give on
     sample_trajectory(duration_law, velocity_law, measure, rng, horizon)
     bit for bit. The last block draws durations up to the piece that passes
-    the horizon and only the speeds and directions of the steps read;
-    count-only walks skip the speeds of every block, and the directions
-    too where each takes one word (d = 1, or atoms).
+    the horizon and only the speeds and directions of the steps read.
     """
-    if variant not in (None, "wait-first", "jump-first", "continuous"):
+    if variant not in ("wait-first", "jump-first", "continuous"):
         raise ValueError(f"unknown variant {variant!r}")
-    if not 0.0 <= horizon < math.inf:  # written so that NaN fails
-        raise ValueError(f"horizon must be nonnegative and finite, got {horizon}")
+    _check_horizon(horizon)
     speed_words = isinstance(velocity_law, TailLaw)  # fixed speeds read none
-    one_word_directions = measure.dimension == 1 or not measure.is_uniform
     size = _first_block_size(duration_law, horizon)
     done = 0  # steps in the blocks before the current one
     last = 0.0  # renewal time of step `done`
@@ -161,22 +159,12 @@ def walk_endpoint(duration_law: TailLaw, velocity_law, measure: SpectralMeasure,
         T, R = _block_durations(duration_law, rng, size, last, horizon)
         if R[-1] > horizon:
             break
-        if variant is None:
-            if speed_words:
-                _skip(rng, size)
-            if one_word_directions:
-                _skip(rng, size)
-            else:
-                sample_direction(measure, rng, size)
-        else:
-            V = _draw_speeds(velocity_law, rng, size)
-            pos = pos + _jump_sum(V * T, sample_direction(measure, rng, size))
+        V = _draw_speeds(velocity_law, rng, size)
+        pos = pos + _jump_sum(V * T, sample_direction(measure, rng, size))
         done += size
         last = R[-1]
         size *= 2
     k = int(np.searchsorted(R, horizon, side="right"))
-    if variant is None:
-        return done + k, None
     # steps 1..k of this block are complete and step k+1 straddles the horizon
     rows = k if variant == "wait-first" else k + 1
     V = _draw_speeds(velocity_law, rng, rows)
@@ -191,6 +179,75 @@ def walk_endpoint(duration_law: TailLaw, velocity_law, measure: SpectralMeasure,
     if variant == "continuous":
         pos = pos + (V[k] * (horizon - last)) * U[k]
     return done + k, pos
+
+
+# renewal_counts advances up to SPAN_ROWS walks together, COUNT_PIECE
+# durations each a round: one (SPAN_ROWS, COUNT_PIECE) buffer of doubles,
+# 256 KiB, per call
+SPAN_ROWS = 64
+COUNT_PIECE = 512
+
+
+def renewal_counts(duration_law: TailLaw, velocity_law, measure: SpectralMeasure,
+                   rngs, horizon: float) -> np.ndarray:
+    """N(horizon) of a fresh walk on each generator of rngs, as an int64 array.
+
+    Each count is renewal_count(sample_trajectory(duration_law, velocity_law,
+    measure, rng, horizon), horizon). The walks of a span of up to SPAN_ROWS
+    generators share their blocks, since every walk starts with the same
+    first block and one that crosses the horizon stops, so they advance in
+    lockstep: each round draws COUNT_PIECE of a block's durations per walk
+    into its row of one buffer, turns the rows into renewal times with one
+    transform and one cumsum, and takes a crossed walk's count from its row.
+    A walk that finishes a block without crossing passes its speeds and
+    directions as sample_trajectory reads them: _skip where they take one
+    word each (Pareto speeds; d = 1 or atoms), sample_direction's normals
+    for uniform directions in d >= 2. rngs may be any iterable; it is read
+    one span at a time, so its generators need not all exist at once.
+    """
+    _check_horizon(horizon)
+    speed_words = isinstance(velocity_law, TailLaw)
+    one_word_directions = measure.dimension == 1 or not measure.is_uniform
+    first = _first_block_size(duration_law, horizon)
+    buf = np.empty((SPAN_ROWS, COUNT_PIECE))
+    rngs = iter(rngs)
+    counts = []
+    while span := list(itertools.islice(rngs, SPAN_ROWS)):
+        live = np.arange(len(span))  # the span's walks that have not crossed
+        last = np.zeros(len(span))  # their last renewal time
+        out = np.empty(len(span), dtype=np.int64)
+        size, done, lo = first, 0, 0  # block size, steps before it, steps of it drawn
+        while live.size:
+            x = buf[:live.size, :min(COUNT_PIECE, size - lo)]
+            for i, row in zip(live, x):
+                span[i].random(out=row)
+            _pareto_from_uniforms(duration_law, x)
+            # start + T_1 first, as in _renewals: the same floats as one cumsum
+            x[:, 0] += last
+            np.cumsum(x, axis=1, out=x)
+            crossed = x[:, -1] > horizon
+            if crossed.any():
+                out[live[crossed]] = done + lo + np.count_nonzero(x <= horizon, axis=1)[crossed]
+                live, last = live[~crossed], x[~crossed, -1]
+            else:
+                last = x[:, -1].copy()
+            lo += x.shape[1]
+            if lo == size:
+                for i in live:
+                    if speed_words:
+                        _skip(span[i], size)
+                    if one_word_directions:
+                        _skip(span[i], size)
+                    else:
+                        sample_direction(measure, span[i], size)
+                done, size, lo = done + size, 2 * size, 0
+        counts.append(out)
+    return np.concatenate(counts) if counts else np.zeros(0, dtype=np.int64)
+
+
+def _check_horizon(horizon):
+    if not 0.0 <= horizon < math.inf:  # written so that NaN fails
+        raise ValueError(f"horizon must be nonnegative and finite, got {horizon}")
 
 
 def _renewals(start, T):

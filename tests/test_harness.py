@@ -538,6 +538,66 @@ def test_cli_seed_override_is_validated(tmp_path, capsys, seed):
     assert not out.exists()
 
 
+def test_rerun_into_an_existing_run_directory_is_refused(tmp_path, capsys):
+    # a rerun with n_grid = 10 used to keep the first run's ensemble_n100_t1.*
+    # beside a config.txt that says n_grid = 10, and exit 0
+    cfg_path = tmp_path / "cfg.txt"
+    out = tmp_path / "runs"
+    run = ["--config", str(cfg_path), "--out", str(out)]
+    cfg_path.write_text(MINIMAL + "t_grid = 1\nn_samples = 20\ntrajectories = 1\n"
+                        "n_grid = 10,100\n")
+    assert cli_main(["simulate"] + run) == 0
+    assert cli_main(["verify", "tails"] + run) == 0
+    before = read_tree(out)
+    assert "simulate/ensemble_n100_t1.csv" in before
+    cfg_path.write_text(MINIMAL + "t_grid = 1\nn_samples = 20\ntrajectories = 1\n"
+                        "n_grid = 10\n")
+    capsys.readouterr()
+    for command, name in ((["simulate"], "simulate"), (["verify", "tails"], "tails")):
+        assert cli_main(command + run) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("run refused: out: ") and str(out / name) in err
+    assert read_tree(out) == before
+    # another out runs as before
+    assert cli_main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "o2")]) == 0
+    assert sorted(os.listdir(tmp_path / "o2" / "simulate")) == [
+        "config.txt", "ensemble_n10_t1.csv", "ensemble_n10_t1.json", "trajectory_0.csv"]
+
+
+def test_failed_run_leaves_nothing(tmp_path, monkeypatch):
+    def fail(cfg, threads):
+        raise RuntimeError("suite failed")
+
+    monkeypatch.setitem(harness._SUITE_FUNCS, "tails", fail)
+    cfg = parse_config(MINIMAL)
+    with pytest.raises(RuntimeError, match="suite failed"):
+        run_suite(cfg, "tails", str(tmp_path / "runs"))
+    assert not (tmp_path / "runs").exists()
+    (tmp_path / "runs").mkdir()
+    with pytest.raises(RuntimeError, match="suite failed"):
+        run_suite(cfg, "tails", str(tmp_path / "runs"))
+    assert os.listdir(tmp_path / "runs") == []
+
+
+def test_non_finite_ensemble_is_a_named_error(tmp_path, capsys):
+    # at alpha = beta = 0.02 some steps of the n = 10^4 ensemble overflow a
+    # float; simulate used to write the n = 10 files and stop at a bare
+    # ValueError from write_ensemble
+    cfg_path = tmp_path / "cfg.txt"
+    cfg_path.write_text("alpha = 0.02\nbeta = 0.02\nd = 2\nvariant = wait-first\n"
+                        "n_grid = 10,10000\nn_samples = 100\ntrajectories = 1\n")
+    out = tmp_path / "runs"
+    with np.errstate(over="ignore", invalid="ignore"):  # the overflow is what is tested
+        with pytest.raises(ValidationError, match="n_grid") as exc:
+            run_simulate(parse_config(cfg_path.read_text()), str(out))
+        assert "n = 10000" in str(exc.value) and "alpha = 0.02, beta = 0.02" in str(exc.value)
+        assert not out.exists()
+        assert cli_main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("run refused: n_grid: ") and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_cli_overrides(tmp_path):
     cfg_path = tmp_path / "cfg.txt"
     cfg_path.write_text(SMALL_SIM)

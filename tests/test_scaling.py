@@ -8,8 +8,9 @@ from levywalk import (CRITICAL, SUBORDINATOR_DOMINATED, VELOCITY_DOMINATED,
                       PathTooShort, SpectralMeasure, SubordinatorPath, TailLaw,
                       build_subordinator_path, classify_regime,
                       continuous_limit_interpolation, draw_pareto,
-                      joint_partial_sums, ks_distance, rescaled_ensemble,
-                      sample_direction, stream_rng, walk_endpoint)
+                      joint_partial_sums, ks_distance, renewal_count,
+                      rescaled_ensemble, sample_direction, sample_trajectory,
+                      stream_rng, walk_endpoint)
 from levywalk import scaling
 from levywalk.harness import LAPLACE_STREAM, _counting_limit_rows, parse_config
 from levywalk.randgen import SEED_BATCH
@@ -246,7 +247,8 @@ def test_parallel_fill_pool_is_bounded_by_the_cpus(monkeypatch):
     monkeypatch.setattr(scaling.os, "cpu_count", lambda: 2)
     for threads, n_spans in ((4, 32), (10**6, 64)):
         words = {}
-        scaling._parallel_fill(5, 936, 64, threads, lambda j, rng: words.setdefault(j, rng.random()))
+        scaling._parallel_fill(5, 936, 64, threads, lambda lo, rngs: [
+            words.setdefault(j, rng.random()) for j, rng in enumerate(rngs, lo)])
         assert pools[-1] == 2
         assert len(spans[-1]) == n_spans
         assert words == {j: stream_rng(5, 936, j).random() for j in range(64)}
@@ -300,8 +302,9 @@ def test_counting_limit_rows_same_at_every_thread_count(frequent_switches):
     runs = [_counting_limit_rows(cfg, k, n=10**3, n_traj=N_SPANS, n_paths=50) for k in (1, 2, 4)]
     assert runs[0] == runs[1] == runs[2]
     law = TailLaw.stable_normalized(0.5)
-    counts = np.array([walk_endpoint(law, 1.0, SpectralMeasure.uniform(1),
-                                     stream_rng(2, LAPLACE_STREAM + 10, j), 1e3)[0]
+    counts = np.array([renewal_count(sample_trajectory(law, 1.0, SpectralMeasure.uniform(1),
+                                                       stream_rng(2, LAPLACE_STREAM + 10, j), 1e3),
+                                     1e3)
                        for j in range(N_SPANS)])
     walk_mean = float(counts.mean()) * 1000 ** (-0.5)
     assert f";walk_mean={walk_mean!r};" in runs[0][0].parameters

@@ -9,9 +9,9 @@ import levywalk.walk
 from levywalk import (SpectralMeasure, TailLaw, Trajectory,
                       TrajectoryExhausted, draw_pareto, expected_steps,
                       position_continuous, position_jump_first,
-                      position_wait_first, renewal_count, sample_direction,
-                      sample_trajectory, stream_rng, walk_endpoint,
-                      write_trajectory_csv)
+                      position_wait_first, renewal_count, renewal_counts,
+                      sample_direction, sample_trajectory, stream_rng,
+                      walk_endpoint, write_trajectory_csv)
 from levywalk.harness import INVARIANTS_STREAM
 from levywalk.walk import _skip
 
@@ -201,7 +201,7 @@ EVALUATORS = {
 def assert_endpoint_matches_trajectory(dur, vel, measure, rng_args, horizon):
     traj = sample_trajectory(dur, vel, measure, stream_rng(*rng_args), horizon)
     n = renewal_count(traj, horizon)
-    assert walk_endpoint(dur, vel, measure, stream_rng(*rng_args), horizon) == (n, None)
+    assert renewal_counts(dur, vel, measure, [stream_rng(*rng_args)], horizon).tolist() == [n]
     for variant, evaluate in EVALUATORS.items():
         count, pos = walk_endpoint(dur, vel, measure, stream_rng(*rng_args), horizon, variant)
         assert count == n
@@ -237,10 +237,13 @@ def test_walk_endpoint_when_horizon_follows_a_full_block():
 
 def test_walk_endpoint_domain():
     args = (TailLaw(0.5), TailLaw(0.8), SpectralMeasure.uniform(2), stream_rng(0, 918, 0))
+    for variant in ("hop", None):  # count-only walks go through renewal_counts
+        with pytest.raises(ValueError, match="unknown variant"):
+            walk_endpoint(*args, 1.0, variant)
     with pytest.raises(ValueError):
-        walk_endpoint(*args, 1.0, "hop")
+        walk_endpoint(*args, -1.0, "wait-first")
     with pytest.raises(ValueError):
-        walk_endpoint(*args, -1.0)
+        renewal_counts(*args[:3], [args[3]], -1.0)
     with pytest.raises(ValueError):
         sample_trajectory(*args, -1.0)
 
@@ -250,9 +253,10 @@ def test_non_finite_horizon_is_named(horizon):
     # inf used to reach int(inf) in the first block's size (a bare
     # OverflowError), and NaN a float-to-integer conversion
     args = (TailLaw(0.5), TailLaw(0.8), SpectralMeasure.uniform(2), stream_rng(0, 918, 0))
-    for variant in (None, "continuous"):
-        with pytest.raises(ValueError, match="horizon must be nonnegative and finite"):
-            walk_endpoint(*args, horizon, variant)
+    with pytest.raises(ValueError, match="horizon must be nonnegative and finite"):
+        walk_endpoint(*args, horizon, "continuous")
+    with pytest.raises(ValueError, match="horizon must be nonnegative and finite"):
+        renewal_counts(*args[:3], [args[3]], horizon)
     with pytest.raises(ValueError, match="horizon must be nonnegative and finite"):
         sample_trajectory(*args, horizon)
 
@@ -338,17 +342,64 @@ def test_last_block_draws_only_what_it_reads(monkeypatch, variant):
     assert short  # some walks cross the horizon early in their last block
 
 
+class LoggedGenerator:
+    """A Generator stand-in that records the uniforms each call draws, in order.
+
+    The kernel's skips are logged by the patched walk._skip, which still
+    advances the real generator.
+    """
+
+    def __init__(self, rng):
+        self.rng = rng
+        self.bit_generator = rng.bit_generator
+        self.calls = []
+
+    def random(self, size=None, out=None):
+        self.calls.append(("random", out.size if out is not None else size))
+        return self.rng.random(size, out=out)
+
+
+def log_skips(monkeypatch):
+    def skip(rng, m):
+        rng.calls.append(("skip", m))
+        _skip(rng, m)
+
+    monkeypatch.setattr(levywalk.walk, "_skip", skip)
+
+
+def count_only_reads(first, piece, n):
+    """The calls a count-only walk with n completed steps makes: every
+    finished block's durations, a piece at a time, and the skips of its
+    Pareto speeds and one-word directions; then the pieces of the last block
+    up to the one holding step n + 1, which crosses the horizon."""
+    calls, done, size = [], 0, first
+    while done + size <= n:
+        calls += [("random", min(piece, size - lo)) for lo in range(0, size, piece)]
+        calls += [("skip", size)] * 2
+        done, size = done + size, 2 * size
+    calls += [("random", min(piece, size - lo)) for lo in range(0, n - done + 1, piece)]
+    return calls
+
+
 @pytest.mark.parametrize("measure", [
     SpectralMeasure.uniform(1), SpectralMeasure.atoms([[1.0, 0.0], [0.0, 1.0]], [0.5, 0.5]),
 ], ids=["d1", "atoms"])
 def test_count_only_walk_draws_no_speeds_or_directions(monkeypatch, measure):
-    dur, vel = TailLaw(0.5), TailLaw(0.8)
-    log = DrawLog(monkeypatch, dur)
-    blocks = 0
-    for j in range(40):
-        log.calls.clear()
-        n, _ = walk_endpoint(dur, vel, measure, stream_rng(0, 920, j), 1e4)
-        assert log.drawn("V") == log.drawn("U") == 0
-        assert log.drawn("T") >= n + 1
-        blocks += log.drawn("T") > first_block(dur, 1e4)
+    # every uniform a count-only walk draws is a duration: speeds and
+    # one-word directions are skipped, and no piece after the crossing one
+    # is drawn
+    monkeypatch.setattr(levywalk.walk, "COUNT_PIECE", 8)
+    log_skips(monkeypatch)
+    dur, vel, horizon = TailLaw(0.5), TailLaw(0.8), 1e4
+    block = first_block(dur, horizon)
+    rngs = [LoggedGenerator(stream_rng(0, 920, j)) for j in range(40)]
+    counts = renewal_counts(dur, vel, measure, rngs, horizon)
+    blocks = early = 0
+    for j, (n, rng) in enumerate(zip(counts, rngs)):
+        traj = sample_trajectory(dur, vel, measure, stream_rng(0, 920, j), horizon)
+        assert n == renewal_count(traj, horizon)
+        assert rng.calls == count_only_reads(block, 8, n)
+        blocks += n >= block
+        early += len(traj.T) - n > 8  # the last piece drawn ends before the block
     assert blocks  # some walks needed a second block
+    assert early  # and some crossed before their last block's last piece
