@@ -10,8 +10,7 @@ from .randgen import (SpectralMeasure, SubordinatorPath, TailLaw,
                       positive_stable, sample_direction, stream_rng)
 from .walk import (Trajectory, expected_steps, position_continuous,
                    position_jump_first, position_wait_first, renewal_count,
-                   renewal_counts, sample_trajectory, walk_endpoint,
-                   write_trajectory_csv)
+                   sample_trajectory, walks, write_trajectory_csv)
 from .scaling import (CRITICAL, SUBORDINATOR_DOMINATED, VELOCITY_DOMINATED,
                       EnsembleSnapshot, Regime, classify_regime,
                       continuous_limit_interpolation, joint_partial_sums,

@@ -23,7 +23,7 @@ from .errors import ConfigError, ValidationError
 from .randgen import (TailLaw, SpectralMeasure, _stream_rngs, build_subordinator_path,
                       draw_pareto, positive_stable, stream_rng)
 from .walk import (position_continuous, position_jump_first, position_wait_first,
-                   renewal_count, renewal_counts, sample_trajectory,
+                   renewal_count, sample_trajectory, walks,
                    write_trajectory_csv)
 from .scaling import (VARIANTS, classify_regime,
                       continuous_limit_interpolation, joint_partial_sums,
@@ -292,7 +292,7 @@ def _counting_limit_rows(cfg, threads, alpha=0.5, n=10**6, n_traj=10**4,
     counts = np.empty(n_traj)
 
     def fill_counts(lo, rngs):
-        span = renewal_counts(law, 1.0, measure, rngs, float(n))
+        span = walks(law, 1.0, measure, rngs, float(n))[0]
         counts[lo:lo + span.size] = span
 
     _parallel_fill(cfg.seed, LAPLACE_STREAM + 10, n_traj, threads, fill_counts)

@@ -20,7 +20,7 @@ import numpy as np
 from .errors import PathTooShort
 from .randgen import (TailLaw, SpectralMeasure, SubordinatorPath, _stream_rngs,
                       draw_pareto, sample_direction)
-from .walk import (_jump_sum, walk_endpoint, position_wait_first, position_jump_first,
+from .walk import (_jump_sum, walks, position_wait_first, position_jump_first,
                    position_continuous)
 
 __all__ = [
@@ -160,11 +160,13 @@ def rescaled_ensemble(duration_law: TailLaw, velocity_law, measure: SpectralMeas
                       stream: int = 0, threads: int = 1) -> EnsembleSnapshot:
     """N_samples independent draws of space_norm(n)^-1 * X(time_norm(n) * t).
 
-    Each sample is a fresh walk driven by stream_rng(seed, stream, j) and
-    evaluated by walk_endpoint, which stores no steps but gives the same
-    values as VARIANTS[variant] on a sample_trajectory. velocity_law may be
-    a float for the deterministic-speed diagnostic, in which case both
-    norms are n^(1/alpha).
+    Each sample is a fresh walk driven by stream_rng(seed, stream, j). Each
+    pool span's walks go to walk.walks, which advances them walk.PIECE
+    durations at a time, keeps about walk.T_BYTES of block durations and no
+    steps, and gives the same values as VARIANTS[variant] on a
+    sample_trajectory. velocity_law may be a float for the
+    deterministic-speed diagnostic, in which case both norms are
+    n^(1/alpha).
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
@@ -177,8 +179,8 @@ def rescaled_ensemble(duration_law: TailLaw, velocity_law, measure: SpectralMeas
     out = np.empty((n_samples, measure.dimension))
 
     def fill(lo, rngs):
-        for j, rng in enumerate(rngs, lo):
-            out[j] = walk_endpoint(duration_law, velocity_law, measure, rng, horizon, variant)[1]
+        span = walks(duration_law, velocity_law, measure, rngs, horizon, variant)[1]
+        out[lo:lo + len(span)] = span
 
     _parallel_fill(seed, stream, n_samples, threads, fill)
     return EnsembleSnapshot(

@@ -11,17 +11,18 @@ P_k = sum_{i<=k} J_i. The three evaluations at physical time t:
 where N(t) = max{k : R_k <= t} counts completed steps, inclusive at ties.
 Steps are drawn in doubling blocks until one passes the horizon, because
 mean duration is infinite and no fixed count covers it; a Trajectory is
-then a plain record of the steps drawn. Two kernels evaluate a walk at
-one time without keeping its steps, reading the generator in the same
-blocks but drawing only the words they read and skipping the rest, so
-that every later draw is unchanged and their values are bit-identical to
-a Trajectory's: walk_endpoint gives one walk's count and position for a
-variant, and renewal_counts gives the counts alone of many walks,
-advancing a span of them together a piece of durations at a time.
+then a plain record of the steps drawn. One kernel, walks, evaluates many
+walks at one time without keeping their steps: it gives each walk's count,
+and its position for a variant, reading the generator in the same blocks
+but drawing only the words it reads and skipping the rest, so that every
+later draw is unchanged and its values are bit-identical to a
+Trajectory's. It advances a span of walks together, PIECE durations at a
+time, and finishes each walk's ragged last block on its own.
 """
 
 import itertools
 import math
+import operator
 
 import numpy as np
 
@@ -32,8 +33,7 @@ from .randgen import (TailLaw, SpectralMeasure, _draw_speeds, _pareto_from_unifo
 __all__ = [
     "Trajectory",
     "sample_trajectory",
-    "walk_endpoint",
-    "renewal_counts",
+    "walks",
     "expected_steps",
     "renewal_count",
     "position_wait_first",
@@ -97,11 +97,6 @@ class Trajectory:
         return self.renewal_times[-1] if len(self.T) else 0.0
 
 
-# durations drawn at a time within a block, so the last block stops within
-# a piece of the horizon instead of drawing all of its steps
-PIECE = 4096
-
-
 def _first_block_size(duration_law, horizon):
     return int(1.3 * expected_steps(horizon, duration_law.index,
                                     duration_law.tail_constant)) + 16
@@ -117,7 +112,7 @@ def sample_trajectory(duration_law: TailLaw, velocity_law, measure: SpectralMeas
     as large, until a renewal time passes the horizon. Each block's
     renewal times continue from the last one, so they are one cumsum of
     all durations, and its positions continue from the last position, as
-    in walk_endpoint.
+    in walks.
     """
     _check_horizon(horizon)
     size = _first_block_size(duration_law, horizon)
@@ -134,106 +129,98 @@ def sample_trajectory(duration_law: TailLaw, velocity_law, measure: SpectralMeas
     return traj._assign(*map(np.concatenate, (T, V, U, R, pos)))
 
 
-def walk_endpoint(duration_law: TailLaw, velocity_law, measure: SpectralMeasure,
-                  rng, horizon: float, variant):
-    """(N(horizon), position at horizon) of a fresh walk, without storing its steps.
+# walks advances up to SPAN_ROWS walks together, PIECE durations each a
+# round, through one (SPAN_ROWS, PIECE) buffer of doubles, 256 KiB; a
+# position walk also keeps its block's durations, so its spans hold as many
+# walks as keep the first block's within T_BYTES
+SPAN_ROWS = 64
+PIECE = 512
+T_BYTES = 2**20
 
-    variant is "wait-first", "jump-first" or "continuous". The generator is
-    read in sample_trajectory's blocks (T, then V, then U), but only the
-    words the variant reads are drawn: the rest are skipped with _skip,
-    which leaves every later draw where it was. So both equal what
-    renewal_count and the position_* function give on
-    sample_trajectory(duration_law, velocity_law, measure, rng, horizon)
-    bit for bit. The last block draws durations up to the piece that passes
-    the horizon and only the speeds and directions of the steps read.
+
+def walks(duration_law: TailLaw, velocity_law, measure: SpectralMeasure, rngs,
+          horizon: float, variant=None):
+    """(counts, positions) at the horizon of a fresh walk on each generator of rngs.
+
+    counts is an int64 array of renewal_count(sample_trajectory(duration_law,
+    velocity_law, measure, rng, horizon), horizon); positions is the (len, d)
+    array of the position_* values for variant "wait-first", "jump-first" or
+    "continuous", and None when variant is None (counts only). Only the
+    words a walk reads are drawn and the rest are skipped with _skip, which
+    leaves every later draw where it was, so both are bit-identical to the
+    Trajectory route.
+
+    The walks of a span share their blocks, since every walk starts with the
+    same first block and one that crosses the horizon stops, so they advance
+    in lockstep: each round draws PIECE of a block's durations per walk into
+    its row of one buffer, turns the rows into renewal times with one
+    transform and one cumsum, and takes a crossed walk's count from its row.
+    For a variant the durations also go to the walk's row of the block's
+    array, and a crossed walk skips the rest of its block's durations, then
+    draws the speeds and directions of the steps it reads, one walk at a
+    time. A walk that finishes a block draws its speeds and directions and
+    adds their jumps, or for counts only passes them as sample_trajectory
+    reads them: _skip where they take one word each (Pareto speeds; d = 1
+    or atoms), sample_direction's normals for uniform directions in d >= 2.
+    rngs may be any iterable; it is read one span at a time, so its
+    generators need not all exist at once.
     """
-    if variant not in ("wait-first", "jump-first", "continuous"):
+    if variant not in (None, "wait-first", "jump-first", "continuous"):
         raise ValueError(f"unknown variant {variant!r}")
     _check_horizon(horizon)
     speed_words = isinstance(velocity_law, TailLaw)  # fixed speeds read none
-    size = _first_block_size(duration_law, horizon)
-    done = 0  # steps in the blocks before the current one
-    last = 0.0  # renewal time of step `done`
-    pos = np.zeros(measure.dimension)  # position after step `done`
-    while True:
-        T, R = _block_durations(duration_law, rng, size, last, horizon)
-        if R[-1] > horizon:
-            break
-        V = _draw_speeds(velocity_law, rng, size)
-        pos = pos + _jump_sum(V * T, sample_direction(measure, rng, size))
-        done += size
-        last = R[-1]
-        size *= 2
-    k = int(np.searchsorted(R, horizon, side="right"))
-    # steps 1..k of this block are complete and step k+1 straddles the horizon
-    rows = k if variant == "wait-first" else k + 1
-    V = _draw_speeds(velocity_law, rng, rows)
-    if speed_words:
-        _skip(rng, size - rows)
-    U = sample_direction(measure, rng, rows)
-    if variant == "jump-first":
-        return done + k, pos + _jump_sum(V * T[:rows], U)
-    if k:
-        pos = pos + _jump_sum(V[:k] * T[:k], U[:k])
-        last = R[k - 1]
-    if variant == "continuous":
-        pos = pos + (V[k] * (horizon - last)) * U[k]
-    return done + k, pos
-
-
-# renewal_counts advances up to SPAN_ROWS walks together, COUNT_PIECE
-# durations each a round: one (SPAN_ROWS, COUNT_PIECE) buffer of doubles,
-# 256 KiB, per call
-SPAN_ROWS = 64
-COUNT_PIECE = 512
-
-
-def renewal_counts(duration_law: TailLaw, velocity_law, measure: SpectralMeasure,
-                   rngs, horizon: float) -> np.ndarray:
-    """N(horizon) of a fresh walk on each generator of rngs, as an int64 array.
-
-    Each count is renewal_count(sample_trajectory(duration_law, velocity_law,
-    measure, rng, horizon), horizon). The walks of a span of up to SPAN_ROWS
-    generators share their blocks, since every walk starts with the same
-    first block and one that crosses the horizon stops, so they advance in
-    lockstep: each round draws COUNT_PIECE of a block's durations per walk
-    into its row of one buffer, turns the rows into renewal times with one
-    transform and one cumsum, and takes a crossed walk's count from its row.
-    A walk that finishes a block without crossing passes its speeds and
-    directions as sample_trajectory reads them: _skip where they take one
-    word each (Pareto speeds; d = 1 or atoms), sample_direction's normals
-    for uniform directions in d >= 2. rngs may be any iterable; it is read
-    one span at a time, so its generators need not all exist at once.
-    """
-    _check_horizon(horizon)
-    speed_words = isinstance(velocity_law, TailLaw)
     one_word_directions = measure.dimension == 1 or not measure.is_uniform
     first = _first_block_size(duration_law, horizon)
-    buf = np.empty((SPAN_ROWS, COUNT_PIECE))
+    rows = SPAN_ROWS if variant is None else min(SPAN_ROWS, max(1, T_BYTES // (8 * first)))
+    buf = np.empty((rows, PIECE))
     rngs = iter(rngs)
-    counts = []
-    while span := list(itertools.islice(rngs, SPAN_ROWS)):
+    counts, positions = [np.zeros(0, dtype=np.int64)], [np.zeros((0, measure.dimension))]
+    while span := list(itertools.islice(rngs, rows)):
         live = np.arange(len(span))  # the span's walks that have not crossed
         last = np.zeros(len(span))  # their last renewal time
         out = np.empty(len(span), dtype=np.int64)
+        pos = np.zeros((len(span), measure.dimension))  # position after `done` steps
         size, done, lo = first, 0, 0  # block size, steps before it, steps of it drawn
         while live.size:
-            x = buf[:live.size, :min(COUNT_PIECE, size - lo)]
-            for i, row in zip(live, x):
-                span[i].random(out=row)
+            if variant and lo == 0:
+                # each live walk's durations of the block, at T[row]; a
+                # crossing drops its walk from row but leaves T as it is
+                T, row = np.empty((live.size, size)), np.arange(live.size)
+            w = min(PIECE, size - lo)
+            x = buf[:live.size, :w]
+            for i, r in zip(live, x):
+                span[i].random(out=r)
             _pareto_from_uniforms(duration_law, x)
+            if variant:
+                T[row, lo:lo + w] = x
             # start + T_1 first, as in _renewals: the same floats as one cumsum
             x[:, 0] += last
             np.cumsum(x, axis=1, out=x)
             crossed = x[:, -1] > horizon
             if crossed.any():
-                out[live[crossed]] = done + lo + np.count_nonzero(x <= horizon, axis=1)[crossed]
+                R = x[crossed]
+                k = lo + np.count_nonzero(R <= horizon, axis=1)
+                out[live[crossed]] = done + k
+                if variant:
+                    # steps 1..k of the block are complete and step k + 1
+                    # straddles the horizon from renewal time R_k
+                    for i, r, kc, Rc, start in zip(live[crossed], row[crossed], k.tolist(),
+                                                   R, last[crossed]):
+                        _skip(span[i], size - lo - w)
+                        _last_block(pos[i], velocity_law, measure, span[i], T[r], kc,
+                                    size, Rc[kc - lo - 1] if kc > lo else start,
+                                    horizon, variant)
+                    row = row[~crossed]
                 live, last = live[~crossed], x[~crossed, -1]
             else:
                 last = x[:, -1].copy()
-            lo += x.shape[1]
+            lo += w
             if lo == size:
-                for i in live:
+                for j, i in enumerate(live):
+                    if variant:
+                        V = _draw_speeds(velocity_law, span[i], size)
+                        pos[i] += _jump_sum(V * T[row[j]], sample_direction(measure, span[i], size))
+                        continue
                     if speed_words:
                         _skip(span[i], size)
                     if one_word_directions:
@@ -242,7 +229,29 @@ def renewal_counts(duration_law: TailLaw, velocity_law, measure: SpectralMeasure
                         sample_direction(measure, span[i], size)
                 done, size, lo = done + size, 2 * size, 0
         counts.append(out)
-    return np.concatenate(counts) if counts else np.zeros(0, dtype=np.int64)
+        positions.append(pos)
+    return np.concatenate(counts), None if variant is None else np.concatenate(positions)
+
+
+def _last_block(pos, velocity_law, measure, rng, T, k, size, start, horizon, variant):
+    """Add to pos, in place, a walk's last block up to the horizon for the variant.
+
+    T holds the block's durations, of which k are complete, and step k + 1
+    straddles the horizon from renewal time `start`. Only the speeds and
+    directions of the steps read are drawn, and the other speed words skipped.
+    """
+    rows = k if variant == "wait-first" else k + 1
+    V = _draw_speeds(velocity_law, rng, rows)
+    if isinstance(velocity_law, TailLaw):
+        _skip(rng, size - rows)
+    U = sample_direction(measure, rng, rows)
+    if variant == "jump-first":
+        pos += _jump_sum(V * T[:rows], U)
+        return
+    if k:
+        pos += _jump_sum(V[:k] * T[:k], U[:k])
+    if variant == "continuous":
+        pos += (V[k] * (horizon - start)) * U[k]
 
 
 def _check_horizon(horizon):
@@ -255,25 +264,6 @@ def _renewals(start, T):
     return np.concatenate(((start,), T)).cumsum()[1:]
 
 
-def _block_durations(law, rng, size, start, horizon):
-    """One block's durations and renewal times from `start`, PIECE at a time.
-
-    Drawing stops after the first piece whose last renewal time passes the
-    horizon; the block's remaining duration words are skipped, so the
-    generator ends where a whole block leaves it.
-    """
-    T, R = [], []
-    for lo in range(0, size, PIECE):
-        T.append(draw_pareto(law, rng, min(PIECE, size - lo)))
-        R.append(_renewals(R[-1][-1] if R else start, T[-1]))
-        if R[-1][-1] > horizon:
-            _skip(rng, size - lo - len(T[-1]))
-            break
-    if len(T) == 1:  # the common case: one piece, nothing to join
-        return T[0], R[0]
-    return np.concatenate(T), np.concatenate(R)
-
-
 def _jump_sum(w, U):
     """np.cumsum(w[:, None] * U, axis=0)[-1], one coordinate at a time: the same floats."""
     return np.array([(w * U[:, i]).cumsum()[-1] for i in range(U.shape[1])])
@@ -283,10 +273,11 @@ def _skip(rng, m):
     """Move rng past m random() draws without making them.
 
     PCG64 reads one word a draw, so advance(m) lands where the draws would;
-    any other bit generator draws and discards them.
+    any other bit generator draws and discards them. m may be a numpy
+    integer, which advance refuses.
     """
     if isinstance(rng.bit_generator, np.random.PCG64):
-        rng.bit_generator.advance(m)
+        rng.bit_generator.advance(operator.index(m))
     else:
         rng.random(m)
 

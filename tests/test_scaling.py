@@ -8,9 +8,9 @@ from levywalk import (CRITICAL, SUBORDINATOR_DOMINATED, VELOCITY_DOMINATED,
                       PathTooShort, SpectralMeasure, SubordinatorPath, TailLaw,
                       build_subordinator_path, classify_regime,
                       continuous_limit_interpolation, draw_pareto,
-                      joint_partial_sums, ks_distance, renewal_count,
-                      rescaled_ensemble, sample_direction, sample_trajectory,
-                      stream_rng, walk_endpoint)
+                      joint_partial_sums, ks_distance, position_continuous,
+                      renewal_count, rescaled_ensemble, sample_direction,
+                      sample_trajectory, stream_rng)
 from levywalk import scaling
 from levywalk.harness import LAPLACE_STREAM, _counting_limit_rows, parse_config
 from levywalk.randgen import SEED_BATCH
@@ -275,8 +275,10 @@ def test_rescaled_ensemble_same_at_every_thread_count(frequent_switches):
     runs = [rescaled_ensemble(dur, vel, m, "continuous", 100, 1.0, N_SPANS, 0, 934,
                               threads=k).values for k in (1, 2, 4)]
     regime = classify_regime(0.5, 0.8)
-    loop = np.array([walk_endpoint(dur, vel, m, stream_rng(0, 934, j), regime.time_norm(100),
-                                   "continuous")[1] for j in range(N_SPANS)])
+    horizon = regime.time_norm(100)
+    loop = np.array([position_continuous(sample_trajectory(dur, vel, m, stream_rng(0, 934, j),
+                                                           horizon), horizon)
+                     for j in range(N_SPANS)])
     for values in runs:
         np.testing.assert_array_equal(values, loop / regime.space_norm(100))
 

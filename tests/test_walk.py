@@ -4,14 +4,12 @@ import math
 import numpy as np
 import pytest
 
-import levywalk.randgen
 import levywalk.walk
 from levywalk import (SpectralMeasure, TailLaw, Trajectory,
                       TrajectoryExhausted, draw_pareto, expected_steps,
                       position_continuous, position_jump_first,
-                      position_wait_first, renewal_count, renewal_counts,
-                      sample_direction, sample_trajectory, stream_rng,
-                      walk_endpoint, write_trajectory_csv)
+                      position_wait_first, renewal_count, sample_trajectory,
+                      stream_rng, walks, write_trajectory_csv)
 from levywalk.harness import INVARIANTS_STREAM
 from levywalk.walk import _skip
 
@@ -201,12 +199,13 @@ EVALUATORS = {
 def assert_endpoint_matches_trajectory(dur, vel, measure, rng_args, horizon):
     traj = sample_trajectory(dur, vel, measure, stream_rng(*rng_args), horizon)
     n = renewal_count(traj, horizon)
-    assert renewal_counts(dur, vel, measure, [stream_rng(*rng_args)], horizon).tolist() == [n]
+    counts, pos = walks(dur, vel, measure, [stream_rng(*rng_args)], horizon)
+    assert counts.tolist() == [n] and pos is None
     for variant, evaluate in EVALUATORS.items():
-        count, pos = walk_endpoint(dur, vel, measure, stream_rng(*rng_args), horizon, variant)
-        assert count == n
+        counts, pos = walks(dur, vel, measure, [stream_rng(*rng_args)], horizon, variant)
+        assert counts.tolist() == [n]
         ref = evaluate(traj, horizon)
-        assert pos.shape == ref.shape and np.array_equal(pos, ref), variant
+        assert pos.shape == (1, *ref.shape) and np.array_equal(pos[0], ref), variant
 
 
 @pytest.mark.parametrize("measure", [
@@ -237,15 +236,15 @@ def test_walk_endpoint_when_horizon_follows_a_full_block():
 
 def test_walk_endpoint_domain():
     args = (TailLaw(0.5), TailLaw(0.8), SpectralMeasure.uniform(2), stream_rng(0, 918, 0))
-    for variant in ("hop", None):  # count-only walks go through renewal_counts
-        with pytest.raises(ValueError, match="unknown variant"):
-            walk_endpoint(*args, 1.0, variant)
-    with pytest.raises(ValueError):
-        walk_endpoint(*args, -1.0, "wait-first")
-    with pytest.raises(ValueError):
-        renewal_counts(*args[:3], [args[3]], -1.0)
+    with pytest.raises(ValueError, match="unknown variant"):
+        walks(*args[:3], [args[3]], 1.0, "hop")
+    for variant in (None, "wait-first"):
+        with pytest.raises(ValueError):
+            walks(*args[:3], [args[3]], -1.0, variant)
     with pytest.raises(ValueError):
         sample_trajectory(*args, -1.0)
+    counts, pos = walks(*args[:3], [], 1.0, "continuous")  # no generators, no walks
+    assert counts.shape == (0,) and counts.dtype == np.int64 and pos.shape == (0, 2)
 
 
 @pytest.mark.parametrize("horizon", [math.inf, -math.inf, math.nan])
@@ -253,10 +252,9 @@ def test_non_finite_horizon_is_named(horizon):
     # inf used to reach int(inf) in the first block's size (a bare
     # OverflowError), and NaN a float-to-integer conversion
     args = (TailLaw(0.5), TailLaw(0.8), SpectralMeasure.uniform(2), stream_rng(0, 918, 0))
-    with pytest.raises(ValueError, match="horizon must be nonnegative and finite"):
-        walk_endpoint(*args, horizon, "continuous")
-    with pytest.raises(ValueError, match="horizon must be nonnegative and finite"):
-        renewal_counts(*args[:3], [args[3]], horizon)
+    for variant in (None, "continuous"):
+        with pytest.raises(ValueError, match="horizon must be nonnegative and finite"):
+            walks(*args[:3], [args[3]], horizon, variant)
     with pytest.raises(ValueError, match="horizon must be nonnegative and finite"):
         sample_trajectory(*args, horizon)
 
@@ -291,59 +289,19 @@ def test_skip_lands_where_the_draws_would(bits):
     assert np.array_equal(a.standard_normal(7), b.standard_normal(7))
 
 
-class DrawLog:
-    """Records every Pareto and direction draw that walk_endpoint makes, in order."""
-
-    def __init__(self, monkeypatch, dur):
-        self.calls = []
-        self.dur = dur
-
-        def pareto(law, rng, size=None):
-            self.calls.append(("T" if law == self.dur else "V", size))
-            return draw_pareto(law, rng, size)
-
-        def direction(measure, rng, size=None):
-            self.calls.append(("U", size))
-            return sample_direction(measure, rng, size)
-
-        # speeds come through randgen._draw_speeds, durations through walk
-        monkeypatch.setattr(levywalk.walk, "draw_pareto", pareto)
-        monkeypatch.setattr(levywalk.randgen, "draw_pareto", pareto)
-        monkeypatch.setattr(levywalk.walk, "sample_direction", direction)
-
-    def drawn(self, kind, calls=None):
-        return sum(n for k, n in (self.calls if calls is None else calls) if k == kind)
-
-
-@pytest.mark.parametrize("variant", ["wait-first", "jump-first", "continuous"])
-def test_last_block_draws_only_what_it_reads(monkeypatch, variant):
-    monkeypatch.setattr(levywalk.walk, "PIECE", 8)
-    dur, vel, measure = TailLaw(0.5), TailLaw(0.8), SpectralMeasure.uniform(2)
-    horizon = 1e4
-    block = first_block(dur, horizon)
-    ref = [sample_trajectory(dur, vel, measure, stream_rng(0, 919, j), horizon)
-           for j in range(40)]
-    log = DrawLog(monkeypatch, dur)
-    short = 0
-    for j, traj in enumerate(ref):
-        log.calls.clear()
-        walk_endpoint(dur, vel, measure, stream_rng(0, 919, j), horizon, variant)
-        size = (len(traj.T) + block) // 2  # blocks double, so this is the last one
-        done = len(traj.T) - size
-        k = renewal_count(traj, horizon) - done
-        # every earlier block ends with its directions
-        ends = [i for i, (kind, _) in enumerate(log.calls) if kind == "U"]
-        last = log.calls[ends[-2] + 1:] if len(ends) > 1 else log.calls
-        assert log.drawn("T") == done + log.drawn("T", last)
-        assert k + 1 <= log.drawn("T", last) <= min(size, (k // 8 + 1) * 8)
-        assert log.drawn("V", last) <= k + 1
-        assert log.drawn("U", last) <= k + 1
-        short += log.drawn("T", last) < size
-    assert short  # some walks cross the horizon early in their last block
+@pytest.mark.parametrize("count", [int, np.int64], ids=["int", "int64"])
+@pytest.mark.parametrize("bits", [np.random.PCG64, np.random.Philox], ids=["pcg64", "philox"])
+def test_skip_takes_numpy_integers(bits, count):
+    # PCG64's advance refuses a numpy integer, such as a count from count_nonzero
+    a, b = np.random.Generator(bits(6)), np.random.Generator(bits(6))
+    a.random(3)
+    _skip(b, count(3))
+    assert a.random() == b.random()
 
 
 class LoggedGenerator:
-    """A Generator stand-in that records the uniforms each call draws, in order.
+    """A Generator stand-in that records the uniforms and the rows of normals
+    each call draws, in order.
 
     The kernel's skips are logged by the patched walk._skip, which still
     advances the real generator.
@@ -357,6 +315,10 @@ class LoggedGenerator:
     def random(self, size=None, out=None):
         self.calls.append(("random", out.size if out is not None else size))
         return self.rng.random(size, out=out)
+
+    def standard_normal(self, size):
+        self.calls.append(("normal", size[0]))
+        return self.rng.standard_normal(size)
 
 
 def log_skips(monkeypatch):
@@ -381,6 +343,46 @@ def count_only_reads(first, piece, n):
     return calls
 
 
+def position_reads(first, piece, n, variant):
+    """The calls a walk with n completed steps makes for a variant, with
+    Pareto speeds and uniform directions in d >= 2: every finished block
+    read whole (its durations a piece at a time, then its speeds and its
+    normals); then the pieces of the last block's durations up to the one
+    holding step n + 1, which crosses the horizon, and a skip of the rest;
+    then the speeds of the steps the variant reads (the last block's k
+    complete steps, and for jump-first and continuous step k + 1 as well),
+    a skip of the block's other speeds, and those steps' normals."""
+    calls, done, size = [], 0, first
+    while done + size <= n:
+        calls += [("random", min(piece, size - lo)) for lo in range(0, size, piece)]
+        calls += [("random", size), ("normal", size)]
+        done, size = done + size, 2 * size
+    drawn = [min(piece, size - lo) for lo in range(0, n - done + 1, piece)]
+    calls += [("random", m) for m in drawn] + [("skip", size - sum(drawn))]
+    rows = n - done + (variant != "wait-first")
+    return calls + [("random", rows), ("skip", size - rows), ("normal", rows)]
+
+
+@pytest.mark.parametrize("variant", ["wait-first", "jump-first", "continuous"])
+def test_last_block_draws_only_what_it_reads(monkeypatch, variant):
+    monkeypatch.setattr(levywalk.walk, "PIECE", 8)
+    log_skips(monkeypatch)
+    dur, vel, measure = TailLaw(0.5), TailLaw(0.8), SpectralMeasure.uniform(2)
+    horizon = 1e4
+    block = first_block(dur, horizon)
+    rngs = [LoggedGenerator(stream_rng(0, 919, j)) for j in range(40)]
+    counts = walks(dur, vel, measure, rngs, horizon, variant)[0]
+    blocks = short = 0
+    for j, (n, rng) in enumerate(zip(counts, rngs)):
+        traj = sample_trajectory(dur, vel, measure, stream_rng(0, 919, j), horizon)
+        assert n == renewal_count(traj, horizon)
+        assert rng.calls == position_reads(block, 8, n, variant)
+        blocks += n >= block
+        short += rng.calls[-4] != ("skip", 0)  # its durations stopped before the block's end
+    assert blocks  # some walks read earlier blocks whole
+    assert short  # and some crossed the horizon early in their last block
+
+
 @pytest.mark.parametrize("measure", [
     SpectralMeasure.uniform(1), SpectralMeasure.atoms([[1.0, 0.0], [0.0, 1.0]], [0.5, 0.5]),
 ], ids=["d1", "atoms"])
@@ -388,12 +390,13 @@ def test_count_only_walk_draws_no_speeds_or_directions(monkeypatch, measure):
     # every uniform a count-only walk draws is a duration: speeds and
     # one-word directions are skipped, and no piece after the crossing one
     # is drawn
-    monkeypatch.setattr(levywalk.walk, "COUNT_PIECE", 8)
+    monkeypatch.setattr(levywalk.walk, "PIECE", 8)
     log_skips(monkeypatch)
     dur, vel, horizon = TailLaw(0.5), TailLaw(0.8), 1e4
     block = first_block(dur, horizon)
     rngs = [LoggedGenerator(stream_rng(0, 920, j)) for j in range(40)]
-    counts = renewal_counts(dur, vel, measure, rngs, horizon)
+    counts, pos = walks(dur, vel, measure, rngs, horizon)
+    assert pos is None
     blocks = early = 0
     for j, (n, rng) in enumerate(zip(counts, rngs)):
         traj = sample_trajectory(dur, vel, measure, stream_rng(0, 920, j), horizon)

@@ -1,11 +1,11 @@
-"""Property tests: walk_endpoint and renewal_counts equal the Trajectory route.
+"""Property test: walks equals the Trajectory route.
 
-walk_endpoint draws only the words a walk reads and skips the rest, so over
-random indices, dimensions, measures, speed laws, variants, block and piece
-sizes and bit generators it must give renewal_count and the position_*
-values of sample_trajectory on the same generator state. renewal_counts
-must give each walk of one to three spans renewal_count's value, and leave
-each generator just past the durations a count-only walk reads.
+walks draws only the words a walk reads and skips the rest, so over random
+indices, dimensions, measures, speed laws, variants, block, piece and span
+sizes, tie horizons and bit generators it must give each walk of one to
+three spans renewal_count and the position_* value of sample_trajectory on
+the same generator state, and leave each count-only generator just past the
+durations a count-only walk reads.
 """
 
 import math
@@ -20,8 +20,8 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 import levywalk.walk  # noqa: E402
 from levywalk import (SpectralMeasure, TailLaw, draw_pareto,  # noqa: E402
                       position_continuous, position_jump_first, position_wait_first,
-                      renewal_count, renewal_counts, sample_direction,
-                      sample_trajectory, stream_rng, walk_endpoint)
+                      renewal_count, sample_direction, sample_trajectory, stream_rng,
+                      walks)
 from levywalk.randgen import _draw_speeds  # noqa: E402
 from levywalk.walk import SPAN_ROWS  # noqa: E402
 
@@ -47,36 +47,6 @@ def generator(philox, seed, j):
     return stream_rng(seed, 921, j)
 
 
-@settings(max_examples=300, deadline=None, database=None)
-@given(alpha=indices, beta=st.one_of(st.none(), indices), d=st.integers(1, 3),
-       atoms=st.booleans(), variant=st.sampled_from([None, *EVALUATORS]),
-       block=st.integers(1, 16), piece=st.integers(1, 8),
-       steps=st.floats(min_value=0.0, max_value=8.0), philox=st.booleans(),
-       seed=st.integers(0, 2**32 - 1), j=st.integers(0, 2**16))
-def test_walk_endpoint_matches_trajectory(alpha, beta, d, atoms, variant, block, piece,
-                                          steps, philox, seed, j):
-    dur = TailLaw(alpha)
-    vel = 1.5 if beta is None else TailLaw(beta)  # fixed or Pareto speeds
-    measure = SpectralMeasure.atoms(*ATOMS[d]) if atoms else SpectralMeasure.uniform(d)
-    # a first block of `block` steps and a horizon of about `steps` blocks'
-    # expected renewals, so walks end in one of their first few blocks
-    c = math.gamma(1.0 + alpha) * math.gamma(1.0 - alpha) * dur.tail_constant
-    horizon = (steps * block * c) ** (1.0 / alpha)
-    with mock.patch.object(levywalk.walk, "_first_block_size", lambda law, h: block), \
-            mock.patch.object(levywalk.walk, "PIECE", piece), \
-            mock.patch.object(levywalk.walk, "COUNT_PIECE", piece):
-        traj = sample_trajectory(dur, vel, measure, generator(philox, seed, j), horizon)
-        if variant is None:  # count only
-            counts = renewal_counts(dur, vel, measure, [generator(philox, seed, j)], horizon)
-            assert counts.tolist() == [renewal_count(traj, horizon)]
-            return
-        count, pos = walk_endpoint(dur, vel, measure, generator(philox, seed, j),
-                                   horizon, variant)
-    assert count == renewal_count(traj, horizon)
-    ref = EVALUATORS[variant](traj, horizon)
-    assert pos.shape == ref.shape and np.array_equal(pos, ref)
-
-
 def reads_to_crossing(dur, vel, measure, rng, horizon, first, piece):
     """Read rng as a count-only walk should: every finished block whole (its
     durations, then its speeds and directions as sample_trajectory draws
@@ -94,20 +64,27 @@ def reads_to_crossing(dur, vel, measure, rng, horizon, first, piece):
         size *= 2
 
 
-@settings(max_examples=150, deadline=None, database=None)
+@settings(max_examples=450, deadline=None, database=None)
 @given(alpha=indices, beta=st.one_of(st.none(), indices), d=st.integers(1, 3),
-       atoms=st.booleans(), spans=st.integers(1, 3), extra=st.integers(-SPAN_ROWS + 1, 0),
-       block=st.integers(1, 16), piece=st.integers(1, 8),
-       steps=st.floats(min_value=0.0, max_value=8.0), tie=st.booleans(),
-       philox=st.booleans(), seed=st.integers(0, 2**32 - 1), j=st.integers(0, 2**16))
-def test_renewal_counts_match_trajectories(alpha, beta, d, atoms, spans, extra, block, piece,
-                                           steps, tie, philox, seed, j):
-    # 1 to 3 spans of generators; with horizons of a few blocks' expected
-    # renewals, the walks of one span cross in different rounds and blocks
+       atoms=st.booleans(), variant=st.sampled_from([None, *EVALUATORS]),
+       spans=st.integers(1, 3), extra=st.integers(0, SPAN_ROWS - 1),
+       block=st.integers(1, 16), piece=st.integers(1, 8), span_rows=st.integers(0, 8),
+       slack=st.integers(0, 127), steps=st.floats(min_value=0.0, max_value=8.0),
+       tie=st.booleans(), philox=st.booleans(), seed=st.integers(0, 2**32 - 1),
+       j=st.integers(0, 2**16))
+def test_walks_match_trajectories(alpha, beta, d, atoms, variant, spans, extra, block, piece,
+                                  span_rows, slack, steps, tie, philox, seed, j):
     dur = TailLaw(alpha)
-    vel = 1.5 if beta is None else TailLaw(beta)
+    vel = 1.5 if beta is None else TailLaw(beta)  # fixed or Pareto speeds
     measure = SpectralMeasure.atoms(*ATOMS[d]) if atoms else SpectralMeasure.uniform(d)
-    n_walks = spans * SPAN_ROWS + extra
+    # a T_BYTES that holds span_rows first blocks of durations (one when
+    # span_rows is 0), so position calls take span_rows walks a span
+    t_bytes = 8 * block * span_rows + slack % (8 * block)
+    rows = SPAN_ROWS if variant is None else max(1, span_rows)
+    # 1 to 3 spans of generators; with a first block of `block` steps and a
+    # horizon of about `steps` blocks' expected renewals, the walks of one
+    # span cross in different rounds and blocks
+    n_walks = spans * rows - extra % rows
     c = math.gamma(1.0 + alpha) * math.gamma(1.0 - alpha) * dur.tail_constant
     horizon = (steps * block * c) ** (1.0 / alpha)
     with mock.patch.object(levywalk.walk, "_first_block_size", lambda law, h: block):
@@ -122,11 +99,17 @@ def test_renewal_counts_match_trajectories(alpha, beta, d, atoms, spans, extra, 
             trajs = [sample_trajectory(dur, vel, measure, generator(philox, seed, j + i),
                                        horizon) for i in range(n_walks)]
         rngs = [generator(philox, seed, j + i) for i in range(n_walks)]
-        with mock.patch.object(levywalk.walk, "COUNT_PIECE", piece):
-            counts = renewal_counts(dur, vel, measure, rngs, horizon)
+        with mock.patch.object(levywalk.walk, "PIECE", piece), \
+                mock.patch.object(levywalk.walk, "T_BYTES", t_bytes):
+            counts, positions = walks(dur, vel, measure, rngs, horizon, variant)
     assert counts.dtype == np.int64
     assert counts.tolist() == [renewal_count(traj, horizon) for traj in trajs]
-    # each generator stops just past the piece that crosses the horizon
+    if variant is not None:
+        ref = np.array([EVALUATORS[variant](traj, horizon) for traj in trajs])
+        assert positions.shape == (n_walks, d) and np.array_equal(positions, ref)
+        return
+    assert positions is None
+    # each count-only generator stops just past the piece that crosses the horizon
     for i, rng in enumerate(rngs):
         ref = generator(philox, seed, j + i)
         reads_to_crossing(dur, vel, measure, ref, horizon, block, piece)
