@@ -1,11 +1,11 @@
-"""Property test: walks equals the Trajectory route.
+"""Property tests: walks equals the Trajectory route.
 
 walks draws only the words a walk reads and skips the rest, so over random
-indices, dimensions, measures, speed laws, variants, block, piece and span
-sizes, tie horizons and bit generators it must give each walk of one to
-three spans renewal_count and the position_* value of sample_trajectory on
-the same generator state, and leave each count-only generator just past the
-durations a count-only walk reads.
+indices, dimensions, measures, speed laws, block, piece and span sizes, tie
+horizons and bit generators it must give each walk of one to three spans
+renewal_count and, for a variant, the position_* value of sample_trajectory
+on the same generator state. A count-only walk must leave its generator
+just past the durations it reads.
 """
 
 import math
@@ -64,16 +64,11 @@ def reads_to_crossing(dur, vel, measure, rng, horizon, first, piece):
         size *= 2
 
 
-@settings(max_examples=450, deadline=None, database=None)
-@given(alpha=indices, beta=st.one_of(st.none(), indices), d=st.integers(1, 3),
-       atoms=st.booleans(), variant=st.sampled_from([None, *EVALUATORS]),
-       spans=st.integers(1, 3), extra=st.integers(0, SPAN_ROWS - 1),
-       block=st.integers(1, 16), piece=st.integers(1, 8), span_rows=st.integers(0, 8),
-       slack=st.integers(0, 127), steps=st.floats(min_value=0.0, max_value=8.0),
-       tie=st.booleans(), philox=st.booleans(), seed=st.integers(0, 2**32 - 1),
-       j=st.integers(0, 2**16))
-def test_walks_match_trajectories(alpha, beta, d, atoms, variant, spans, extra, block, piece,
-                                  span_rows, slack, steps, tie, philox, seed, j):
+def run_walks(alpha, beta, d, atoms, variant, spans, extra, block, piece, span_rows,
+              slack, steps, tie, philox, seed, j):
+    """Walk 1 to 3 spans of generators with walks and with sample_trajectory
+    on the same generator states; return the trajectories, horizon,
+    generators after walks, counts and positions."""
     dur = TailLaw(alpha)
     vel = 1.5 if beta is None else TailLaw(beta)  # fixed or Pareto speeds
     measure = SpectralMeasure.atoms(*ATOMS[d]) if atoms else SpectralMeasure.uniform(d)
@@ -81,9 +76,9 @@ def test_walks_match_trajectories(alpha, beta, d, atoms, variant, spans, extra, 
     # span_rows is 0), so position calls take span_rows walks a span
     t_bytes = 8 * block * span_rows + slack % (8 * block)
     rows = SPAN_ROWS if variant is None else max(1, span_rows)
-    # 1 to 3 spans of generators; with a first block of `block` steps and a
-    # horizon of about `steps` blocks' expected renewals, the walks of one
-    # span cross in different rounds and blocks
+    # with a first block of `block` steps and a horizon of about `steps`
+    # blocks' expected renewals, the walks of one span cross in different
+    # rounds and blocks
     n_walks = spans * rows - extra % rows
     c = math.gamma(1.0 + alpha) * math.gamma(1.0 - alpha) * dur.tail_constant
     horizon = (steps * block * c) ** (1.0 / alpha)
@@ -104,13 +99,39 @@ def test_walks_match_trajectories(alpha, beta, d, atoms, variant, spans, extra, 
             counts, positions = walks(dur, vel, measure, rngs, horizon, variant)
     assert counts.dtype == np.int64
     assert counts.tolist() == [renewal_count(traj, horizon) for traj in trajs]
-    if variant is not None:
-        ref = np.array([EVALUATORS[variant](traj, horizon) for traj in trajs])
-        assert positions.shape == (n_walks, d) and np.array_equal(positions, ref)
-        return
+    return trajs, horizon, rngs, positions
+
+
+walk_cases = dict(
+    alpha=indices, beta=st.one_of(st.none(), indices), d=st.integers(1, 3),
+    atoms=st.booleans(), spans=st.integers(1, 3), extra=st.integers(0, SPAN_ROWS - 1),
+    block=st.integers(1, 16), piece=st.integers(1, 8), span_rows=st.integers(0, 8),
+    slack=st.integers(0, 127), steps=st.floats(min_value=0.0, max_value=8.0),
+    tie=st.booleans(), philox=st.booleans(), seed=st.integers(0, 2**32 - 1),
+    j=st.integers(0, 2**16))
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(variant=st.sampled_from(list(EVALUATORS)), **walk_cases)
+def test_walk_endpoint_matches_trajectory(variant, **case):
+    # each walk's end point is its variant's position_* value
+    trajs, horizon, _, positions = run_walks(variant=variant, **case)
+    ref = np.array([EVALUATORS[variant](traj, horizon) for traj in trajs])
+    assert positions.shape == (len(trajs), case["d"]) and np.array_equal(positions, ref)
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(**walk_cases)
+def test_renewal_counts_match_trajectories(**case):
+    trajs, horizon, rngs, positions = run_walks(variant=None, **case)
     assert positions is None
     # each count-only generator stops just past the piece that crosses the horizon
+    dur = TailLaw(case["alpha"])
+    vel = 1.5 if case["beta"] is None else TailLaw(case["beta"])
+    d, atoms = case["d"], case["atoms"]
+    measure = SpectralMeasure.atoms(*ATOMS[d]) if atoms else SpectralMeasure.uniform(d)
+    philox, seed, j = case["philox"], case["seed"], case["j"]
     for i, rng in enumerate(rngs):
         ref = generator(philox, seed, j + i)
-        reads_to_crossing(dur, vel, measure, ref, horizon, block, piece)
+        reads_to_crossing(dur, vel, measure, ref, horizon, case["block"], case["piece"])
         assert rng.random() == ref.random()
