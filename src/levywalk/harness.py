@@ -20,8 +20,8 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import ConfigError, ValidationError
-from .randgen import (TailLaw, SpectralMeasure, _stream_rngs, build_subordinator_path,
-                      draw_pareto, positive_stable, stream_rng)
+from .randgen import (TailLaw, SpectralMeasure, _pareto_from_uniforms, _stream_rngs,
+                      build_subordinator_path, positive_stable, stream_rng)
 from .walk import (position_continuous, position_jump_first, position_wait_first,
                    renewal_count, sample_trajectory, walks,
                    write_trajectory_csv)
@@ -336,15 +336,23 @@ def _factor_rngs(indices, rng, n, start=0):
             for i in range(len(indices))]
 
 
-def _products(laws, rngs, m):
-    """The next m products of draw_pareto(law, rng_i, m) over the factors."""
+def _products_into(laws, rngs, out, scratch):
+    """Write into out the next m = len(out) products of draw_pareto(law, rng_i, m)
+    over the factors, bit for bit; return out.
+
+    Factor 1's uniforms are drawn into out and factor i > 1's into scratch
+    (at least as long as out), each turned into draw_pareto's variates in
+    place by _pareto_from_uniforms, so no array is allocated.
+    """
     with np.errstate(over="ignore"):  # an overflow is the finiteness check's to refuse
-        x = draw_pareto(laws[0], rngs[0], m)
+        _pareto_from_uniforms(laws[0], rngs[0].random(out=out))
+        y = scratch[:out.size]
         for law, rng_i in zip(laws[1:], rngs[1:]):
-            x = x * draw_pareto(law, rng_i, m)
-    if not np.isfinite(x).all():
+            np.multiply(out, _pareto_from_uniforms(law, rng_i.random(out=y)), out=out)
+    # the products are positive, so an inf or NaN shows in their max
+    if not np.isfinite(out.max()):
         raise ValueError("samples must be finite")
-    return x
+    return out
 
 
 def _counts_below(indices, rng, n, z):
@@ -361,10 +369,10 @@ def _counts_below(indices, rng, n, z):
     decide a count, because some p lies inside a band, or where some
     factor or product could overflow, because some p lies below
     2^(-1000 alpha_1) (X above 2^1000), the chunk is drawn again from the
-    same words and counted from its products (_products, with its
-    finiteness check). So the counts, and any ValueError, are those of
-    the one-shot product. Once counted, rng is in the state the one-shot
-    draw leaves.
+    same words into the same buffers and counted from its products
+    (_products_into, with its finiteness check). So the counts, and any
+    ValueError, are those of the one-shot product. Once counted, rng is in
+    the state the one-shot draw leaves.
     """
     laws = [TailLaw(a) for a in indices]
     rngs = _factor_rngs(indices, rng, n)
@@ -394,7 +402,9 @@ def _counts_below(indices, rng, n, z):
         if safe == m and np.array_equal(outer, inner):
             below += outer
         else:
-            x = _products(laws, _factor_rngs(indices, rng, n, start), m)
+            # one factor needs no scratch, so uniforms[-1] may be uniforms[0]
+            x = _products_into(laws, _factor_rngs(indices, rng, n, start), uniforms[0][:m],
+                               uniforms[-1])
             below += stats.counts_at_most(x, z)
     rng.bit_generator.advance(len(indices) * n)
     return below
@@ -405,23 +415,29 @@ def _top(indices, rng, n, k):
     over a in indices, unordered; rng is left as the one-shot draw leaves it.
 
     The products are drawn PRODUCT_CHUNK at a time, bit for bit those of
-    the one-shot expression, and kept as a running partition of (top,
-    chunk): the same multiset as the top k + 1 of the whole product, which
-    is all a Hill estimate reads.
+    the one-shot expression, into one array that keeps the running top at
+    its end: each chunk is written just in front of the top, and the two
+    together are partitioned in place so that the k + 1 largest end up at
+    the end again. That is the same multiset as the top k + 1 of the
+    whole product, which is all a Hill estimate reads. The array and the
+    further factors' scratch chunk are made once, so no chunk allocates or
+    frees an array: a chunk freed each time lets glibc trim the heap top
+    after every chunk, at about 4000 more page faults in the Hill row.
     """
     laws = [TailLaw(a) for a in indices]
     rngs = _factor_rngs(indices, rng, n)
-    top = np.empty(0)
+    chunk = min(PRODUCT_CHUNK, n)
+    buf, scratch = np.empty(k + 1 + chunk), np.empty(chunk)
+    kept = 0
     for start in range(0, n, PRODUCT_CHUNK):
-        # x stays alive through the next chunk's draws: freed before them,
-        # glibc trims the heap top after each chunk and the Hill row takes
-        # about 4000 more page faults (5200 against 930 at n = 10^6)
-        x = _products(laws, rngs, min(PRODUCT_CHUNK, n - start))
-        top = np.concatenate([top, x])
-        if top.size > k + 1:
-            top = np.partition(top, top.size - k - 1)[top.size - k - 1:]
+        m = min(PRODUCT_CHUNK, n - start)
+        lo = buf.size - kept - m
+        _products_into(laws, rngs, buf[lo:lo + m], scratch)
+        kept = min(kept + m, k + 1)
+        if buf.size - lo > kept:
+            buf[lo:].partition(buf.size - lo - kept)
     rng.bit_generator.advance(len(indices) * n)
-    return top
+    return buf[buf.size - kept:]
 
 
 def suite_tails(cfg, threads=1):

@@ -179,7 +179,10 @@ def rescaled_ensemble(duration_law: TailLaw, velocity_law, measure: SpectralMeas
     out = np.empty((n_samples, measure.dimension))
 
     def fill(lo, rngs):
-        span = walks(duration_law, velocity_law, measure, rngs, horizon, variant)[1]
+        # here, not around the pool: a worker thread keeps its own numpy error
+        # state; an inf or NaN is the callers' finiteness checks' to refuse
+        with np.errstate(over="ignore", invalid="ignore"):
+            span = walks(duration_law, velocity_law, measure, rngs, horizon, variant)[1]
         out[lo:lo + len(span)] = span
 
     _parallel_fill(seed, stream, n_samples, threads, fill)

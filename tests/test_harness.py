@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from levywalk import (ConfigError, ExperimentConfig, SpectralMeasure, TailLaw,
-                      ValidationError, classify_regime, parse_config,
+                      ValidationError, classify_regime, draw_pareto, parse_config,
                       rescaled_ensemble, run_simulate, run_suite)
 from levywalk.harness import (INVARIANTS_MIN_ALPHA, INVARIANTS_MIN_BETA,
                               MAX_ENSEMBLE_VALUES, MAX_TRAJECTORIES, ReportRow,
@@ -245,18 +245,18 @@ def test_product_counts_match_one_shot(monkeypatch, a, b):
     monkeypatch.setattr(harness, "PRODUCT_CHUNK", 1000)
     n = 4321
     rng_one = np.random.default_rng(7)
-    x = harness.draw_pareto(TailLaw(a), rng_one, n) * harness.draw_pareto(TailLaw(b), rng_one, n)
+    x = draw_pareto(TailLaw(a), rng_one, n) * draw_pareto(TailLaw(b), rng_one, n)
     x_sorted = np.sort(x)
     # grid points on sample values pin the side of the count: X <= z
     z = np.unique(np.concatenate([[0.5, 1.0, 10.0, 1e3, 1e6], x_sorted[[100, 2000, 4000]]]))
-    real, exact = harness._products, []
+    real, exact = harness._products_into, []
 
-    def recording_products(laws, rngs, m):
-        # the chunks counted from their products
-        exact.append(real(laws, rngs, m))
-        return exact[-1]
+    def recording_products(laws, rngs, out, scratch):
+        # the chunks counted from their products, copied out of the reused buffer
+        exact.append(real(laws, rngs, out, scratch).copy())
+        return out
 
-    monkeypatch.setattr(harness, "_products", recording_products)
+    monkeypatch.setattr(harness, "_products_into", recording_products)
     rng = np.random.default_rng(7)
     below = _counts_below((a, b), rng, n, z)
     np.testing.assert_array_equal(below, np.searchsorted(x_sorted, z, side="right"))
@@ -288,7 +288,7 @@ def test_product_counts_reject_non_finite(monkeypatch):
     for indices in ((0.01,), (0.01, 0.8), (0.8, 0.01)):
         with np.errstate(over="ignore"):
             rng_one = np.random.default_rng(0)
-            x = np.prod([harness.draw_pareto(TailLaw(a), rng_one, n) for a in indices], axis=0)
+            x = np.prod([draw_pareto(TailLaw(a), rng_one, n) for a in indices], axis=0)
         assert not np.isfinite(x).all()
         for band in (harness.BAND, math.inf):
             monkeypatch.setattr(harness, "BAND", band)
@@ -304,7 +304,7 @@ def test_pareto_counts_match_one_shot(monkeypatch, index):
     monkeypatch.setattr(harness, "PRODUCT_CHUNK", 1000)
     n = 4321
     rng_one = np.random.default_rng(11)
-    x = harness.draw_pareto(TailLaw(index), rng_one, n)
+    x = draw_pareto(TailLaw(index), rng_one, n)
     # grid points on sample values pin the side of the count: X > z
     z = np.concatenate([[2.0, 10.0, 100.0], np.sort(x)[[50, 3000]]])
     rng = np.random.default_rng(11)
@@ -317,7 +317,7 @@ def test_pareto_counts_match_broadcast_count(monkeypatch):
     # the (n, len(z)) mask the per-threshold counts replace
     monkeypatch.setattr(harness, "PRODUCT_CHUNK", 1000)
     n, law = 4321, TailLaw(0.8)
-    x = harness.draw_pareto(law, np.random.default_rng(13), n)
+    x = draw_pareto(law, np.random.default_rng(13), n)
     z = np.concatenate([[2.0, 10.0, 100.0], x[[7, 4000]]])
     above = n - _counts_below((0.8,), np.random.default_rng(13), n, z)
     np.testing.assert_array_equal(above, np.count_nonzero(x[:, None] > z, axis=0))
@@ -325,7 +325,7 @@ def test_pareto_counts_match_broadcast_count(monkeypatch):
 
 def _products(size, seed):
     rng = np.random.default_rng(seed)
-    return harness.draw_pareto(TailLaw(0.5), rng, size) * harness.draw_pareto(TailLaw(0.5), rng, size)
+    return draw_pareto(TailLaw(0.5), rng, size) * draw_pareto(TailLaw(0.5), rng, size)
 
 
 @pytest.mark.parametrize("m", [0, 1, FEW_THRESHOLDS, FEW_THRESHOLDS + 1, 25])
@@ -352,13 +352,19 @@ def test_counts_at_most_when_every_value_is_above_the_lowest_threshold():
                                   np.searchsorted(np.sort(x), z, side="right"))
 
 
-@pytest.mark.parametrize("a,b", [(0.5, 0.5), (0.5, 0.8)])
-def test_product_top_matches_one_shot(monkeypatch, a, b):
-    # k + 1 = 1501 spans two chunks of 1000, and n leaves a short last chunk
-    monkeypatch.setattr(harness, "PRODUCT_CHUNK", 1000)
-    n, k = 4321, 1500
+@pytest.mark.parametrize("a,b,n,k,chunk", [
+    pytest.param(a, b, n, k, chunk, id=f"{a}-{b}{tag}")
+    for a, b in ((0.5, 0.5), (0.5, 0.8))
+    for n, k, chunk, tag in (
+        (4321, 1500, 1000, ""),                # k + 1 above the chunk; a short last chunk
+        (4321, 999, 1000, "-top-equals-chunk"),
+        (4321, 300, 1000, "-top-below-chunk"),
+        (700, 150, 1000, "-one-short-chunk"),  # n below the chunk
+    )])
+def test_product_top_matches_one_shot(monkeypatch, a, b, n, k, chunk):
+    monkeypatch.setattr(harness, "PRODUCT_CHUNK", chunk)
     rng_one = np.random.default_rng(5)
-    x = harness.draw_pareto(TailLaw(a), rng_one, n) * harness.draw_pareto(TailLaw(b), rng_one, n)
+    x = draw_pareto(TailLaw(a), rng_one, n) * draw_pareto(TailLaw(b), rng_one, n)
     rng = np.random.default_rng(5)
     top = _top((a, b), rng, n, k)
     assert np.sort(top).tobytes() == np.sort(x)[-k - 1:].tobytes()
@@ -385,6 +391,23 @@ def test_tail_suite_reports_match_golden_bytes(tmp_path, seed):
         with open(os.path.join(golden, f"{suite}_report_seed{seed}.csv"), "rb") as fh:
             expected = fh.read()
         assert (tmp_path / "out" / suite / "report.csv").read_bytes() == expected
+
+
+def test_tail_chunks_are_drawn_into_buffers_made_once(monkeypatch):
+    # the buffers hold about 1.1 MiB: (k + 1 + chunk) doubles and one scratch
+    # chunk for _top, two uniform chunks for _counts_below; a fresh array per
+    # chunk adds at least one more chunk (0.5 MiB) to the peak
+    rng = np.random.default_rng(3)
+    monkeypatch.setattr(harness, "BAND", math.inf)  # every chunk is counted from its products
+    for tail in (lambda: _top((0.5, 0.8), rng, 10**6, 10**4),
+                 lambda: _counts_below((0.5, 0.8), rng, 10**6, np.geomspace(1e2, 1e4, 25))):
+        tracemalloc.start()
+        try:
+            tail()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 2**20, peak
 
 
 def test_tail_suites_memory_is_bounded():
@@ -587,15 +610,18 @@ def test_non_finite_ensemble_is_a_named_error(tmp_path, capsys):
     cfg_path.write_text("alpha = 0.02\nbeta = 0.02\nd = 2\nvariant = wait-first\n"
                         "n_grid = 10,10000\nn_samples = 100\ntrajectories = 1\n")
     out = tmp_path / "runs"
-    with np.errstate(over="ignore", invalid="ignore"):  # the overflow is what is tested
-        with pytest.raises(ValidationError, match="n_grid") as exc:
-            run_simulate(parse_config(cfg_path.read_text()), str(out))
-        assert "n = 10000" in str(exc.value) and "alpha = 0.02, beta = 0.02" in str(exc.value)
-        assert not out.exists()
-        assert cli_main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("run refused: n_grid: ") and "Traceback" not in err
+    # no errstate here: with warnings as errors, an overflow warning from the
+    # walks, also on a worker thread, would pre-empt the named error
+    with pytest.raises(ValidationError, match="n_grid") as exc:
+        run_simulate(parse_config(cfg_path.read_text()), str(out))
+    assert "n = 10000" in str(exc.value) and "alpha = 0.02, beta = 0.02" in str(exc.value)
     assert not out.exists()
+    for threads in ("1", "2"):
+        assert cli_main(["simulate", "--config", str(cfg_path), "--out", str(out),
+                         "--threads", threads]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("run refused: n_grid: ") and "Traceback" not in err
+        assert not out.exists()
 
 
 def test_cli_overrides(tmp_path):
