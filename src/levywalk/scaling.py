@@ -161,9 +161,9 @@ def rescaled_ensemble(duration_law: TailLaw, velocity_law, measure: SpectralMeas
     """N_samples independent draws of space_norm(n)^-1 * X(time_norm(n) * t).
 
     Each sample is a fresh walk driven by stream_rng(seed, stream, j). Each
-    pool span's walks go to walk.walks, which advances them walk.PIECE
-    durations at a time, keeps about walk.T_BYTES of block durations and no
-    steps, and gives the same values as VARIANTS[variant] on a
+    pool span's walks go to walk.walks, which runs them one at a time,
+    walk.POSITION_PIECE durations at a time, keeps one block's durations and
+    no steps, and gives the same values as VARIANTS[variant] on a
     sample_trajectory. velocity_law may be a float for the
     deterministic-speed diagnostic, in which case both norms are
     n^(1/alpha).

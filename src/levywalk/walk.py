@@ -16,8 +16,9 @@ walks at one time without keeping their steps: it gives each walk's count,
 and its position for a variant, reading the generator in the same blocks
 but drawing only the words it reads and skipping the rest, so that every
 later draw is unchanged and its values are bit-identical to a
-Trajectory's. It advances a span of walks together, PIECE durations at a
-time, and finishes each walk's ragged last block on its own.
+Trajectory's. Count-only walks advance a span at a time, PIECE durations
+a round; a position walk runs on its own, keeps only its current block's
+durations, and finishes its ragged last block on its own.
 """
 
 import itertools
@@ -129,13 +130,13 @@ def sample_trajectory(duration_law: TailLaw, velocity_law, measure: SpectralMeas
     return traj._assign(*map(np.concatenate, (T, V, U, R, pos)))
 
 
-# walks advances up to SPAN_ROWS walks together, PIECE durations each a
-# round, through one (SPAN_ROWS, PIECE) buffer of doubles, 256 KiB; a
-# position walk also keeps its block's durations, so its spans hold as many
-# walks as keep the first block's within T_BYTES
+# walks advances up to SPAN_ROWS count-only walks together, PIECE durations
+# each a round, through one (SPAN_ROWS, PIECE) buffer of doubles, 256 KiB; a
+# position walk runs on its own, POSITION_PIECE durations at a time, into
+# its block's own array of durations
 SPAN_ROWS = 64
 PIECE = 512
-T_BYTES = 2**20
+POSITION_PIECE = 4096
 
 
 def walks(duration_law: TailLaw, velocity_law, measure: SpectralMeasure, rngs,
@@ -150,87 +151,109 @@ def walks(duration_law: TailLaw, velocity_law, measure: SpectralMeasure, rngs,
     leaves every later draw where it was, so both are bit-identical to the
     Trajectory route.
 
-    The walks of a span share their blocks, since every walk starts with the
-    same first block and one that crosses the horizon stops, so they advance
-    in lockstep: each round draws PIECE of a block's durations per walk into
-    its row of one buffer, turns the rows into renewal times with one
-    transform and one cumsum, and takes a crossed walk's count from its row.
-    For a variant the durations also go to the walk's row of the block's
-    array, and a crossed walk skips the rest of its block's durations, then
-    draws the speeds and directions of the steps it reads, one walk at a
-    time. A walk that finishes a block draws its speeds and directions and
-    adds their jumps, or for counts only passes them as sample_trajectory
-    reads them: _skip where they take one word each (Pareto speeds; d = 1
-    or atoms), sample_direction's normals for uniform directions in d >= 2.
-    rngs may be any iterable; it is read one span at a time, so its
-    generators need not all exist at once.
+    For a variant each walk runs on its own (_position_walk). For counts
+    only, the walks of a span share their blocks, since every walk starts
+    with the same first block and one that crosses the horizon stops, so
+    they advance in lockstep: each round draws PIECE of a block's durations
+    per walk into its row of one buffer, turns the rows into renewal times
+    with one transform and one cumsum, and takes a crossed walk's count from
+    its row. A walk that finishes a block passes its speeds and directions
+    as sample_trajectory reads them: _skip where they take one word each
+    (Pareto speeds; d = 1 or atoms), sample_direction's normals for uniform
+    directions in d >= 2. rngs may be any iterable; it is read one span at
+    a time, so its generators need not all exist at once.
     """
     if variant not in (None, "wait-first", "jump-first", "continuous"):
         raise ValueError(f"unknown variant {variant!r}")
     _check_horizon(horizon)
-    speed_words = isinstance(velocity_law, TailLaw)  # fixed speeds read none
-    one_word_directions = measure.dimension == 1 or not measure.is_uniform
     first = _first_block_size(duration_law, horizon)
-    rows = SPAN_ROWS if variant is None else min(SPAN_ROWS, max(1, T_BYTES // (8 * first)))
-    buf = np.empty((rows, PIECE))
+    buf = np.empty((SPAN_ROWS, PIECE) if variant is None else POSITION_PIECE)
     rngs = iter(rngs)
     counts, positions = [np.zeros(0, dtype=np.int64)], [np.zeros((0, measure.dimension))]
-    while span := list(itertools.islice(rngs, rows)):
-        live = np.arange(len(span))  # the span's walks that have not crossed
-        last = np.zeros(len(span))  # their last renewal time
+    while span := list(itertools.islice(rngs, SPAN_ROWS)):
         out = np.empty(len(span), dtype=np.int64)
-        pos = np.zeros((len(span), measure.dimension))  # position after `done` steps
-        size, done, lo = first, 0, 0  # block size, steps before it, steps of it drawn
-        while live.size:
-            if variant and lo == 0:
-                # each live walk's durations of the block, at T[row]; a
-                # crossing drops its walk from row but leaves T as it is
-                T, row = np.empty((live.size, size)), np.arange(live.size)
-            w = min(PIECE, size - lo)
-            x = buf[:live.size, :w]
-            for i, r in zip(live, x):
-                span[i].random(out=r)
-            _pareto_from_uniforms(duration_law, x)
-            if variant:
-                T[row, lo:lo + w] = x
-            # start + T_1 first, as in _renewals: the same floats as one cumsum
-            x[:, 0] += last
-            np.cumsum(x, axis=1, out=x)
-            crossed = x[:, -1] > horizon
-            if crossed.any():
-                R = x[crossed]
-                k = lo + np.count_nonzero(R <= horizon, axis=1)
-                out[live[crossed]] = done + k
-                if variant:
-                    # steps 1..k of the block are complete and step k + 1
-                    # straddles the horizon from renewal time R_k
-                    for i, r, kc, Rc, start in zip(live[crossed], row[crossed], k.tolist(),
-                                                   R, last[crossed]):
-                        _skip(span[i], size - lo - w)
-                        _last_block(pos[i], velocity_law, measure, span[i], T[r], kc,
-                                    size, Rc[kc - lo - 1] if kc > lo else start,
-                                    horizon, variant)
-                    row = row[~crossed]
-                live, last = live[~crossed], x[~crossed, -1]
-            else:
-                last = x[:, -1].copy()
-            lo += w
-            if lo == size:
-                for j, i in enumerate(live):
-                    if variant:
-                        V = _draw_speeds(velocity_law, span[i], size)
-                        pos[i] += _jump_sum(V * T[row[j]], sample_direction(measure, span[i], size))
-                        continue
-                    if speed_words:
-                        _skip(span[i], size)
-                    if one_word_directions:
-                        _skip(span[i], size)
-                    else:
-                        sample_direction(measure, span[i], size)
-                done, size, lo = done + size, 2 * size, 0
+        if variant is None:
+            _count_span(duration_law, velocity_law, measure, span, horizon, first, buf, out)
+        else:
+            pos = np.zeros((len(span), measure.dimension))
+            for i, rng in enumerate(span):
+                out[i] = _position_walk(pos[i], duration_law, velocity_law, measure, rng,
+                                        horizon, variant, first, buf)
+            positions.append(pos)
         counts.append(out)
-        positions.append(pos)
     return np.concatenate(counts), None if variant is None else np.concatenate(positions)
+
+
+def _count_span(duration_law, velocity_law, measure, span, horizon, size, buf, out):
+    """Write to out each count of the span's walks, advanced in lockstep through buf."""
+    speed_words = isinstance(velocity_law, TailLaw)  # fixed speeds read none
+    one_word_directions = measure.dimension == 1 or not measure.is_uniform
+    live = np.arange(len(span))  # the span's walks that have not crossed
+    last = np.zeros(len(span))  # their last renewal time
+    done, lo = 0, 0  # steps before the block, steps of it drawn
+    while live.size:
+        x = buf[:live.size, :min(PIECE, size - lo)]
+        for i, r in zip(live, x):
+            span[i].random(out=r)
+        _pareto_from_uniforms(duration_law, x)
+        # start + T_1 first, as in _renewals: the same floats as one cumsum
+        x[:, 0] += last
+        np.cumsum(x, axis=1, out=x)
+        crossed = x[:, -1] > horizon
+        if crossed.any():
+            out[live[crossed]] = done + lo + np.count_nonzero(x[crossed] <= horizon, axis=1)
+            live, last = live[~crossed], x[~crossed, -1]
+        else:
+            last = x[:, -1].copy()
+        lo += x.shape[1]
+        if lo == size:
+            for i in live:
+                if speed_words:
+                    _skip(span[i], size)
+                if one_word_directions:
+                    _skip(span[i], size)
+                else:
+                    sample_direction(measure, span[i], size)
+            done, size, lo = done + size, 2 * size, 0
+
+
+def _position_walk(pos, duration_law, velocity_law, measure, rng, horizon, variant, size, R):
+    """Add to pos, in place, one walk's position at the horizon; return its count.
+
+    Each block's durations are drawn into the block's own array,
+    POSITION_PIECE at a time, with their renewal times carried in R. The
+    piece that passes the horizon is the last drawn: the block's other
+    duration words are skipped and _last_block finishes the walk. A block
+    that ends before the horizon draws its speeds and directions and adds
+    their jumps.
+    """
+    done, last = 0, 0.0  # steps before the block, renewal time of step `done`
+    while True:
+        T = np.empty(size)
+        for lo in range(0, size, POSITION_PIECE):
+            t = T[lo:lo + POSITION_PIECE]
+            rng.random(out=t)
+            _pareto_from_uniforms(duration_law, t)
+            r = R[:t.size]
+            if last:
+                # start + T_1 first, as in _renewals: the same floats as one cumsum
+                np.copyto(r, t)
+                r[0] += last
+                np.add.accumulate(r, out=r)
+            else:  # the walk's first piece, where start + T_1 is T_1
+                np.add.accumulate(t, out=r)
+            if r[-1] > horizon:
+                k = int(r.searchsorted(horizon, side="right"))
+                _skip(rng, size - lo - t.size)
+                # steps 1..lo + k of the block are complete and step lo + k + 1
+                # straddles the horizon from renewal time R_{lo + k}
+                _last_block(pos, velocity_law, measure, rng, T, lo + k, size,
+                            r[k - 1] if k else last, horizon, variant)
+                return done + lo + k
+            last = r[-1]
+        V = _draw_speeds(velocity_law, rng, size)
+        pos += _jump_sum(V * T, sample_direction(measure, rng, size))
+        done, size = done + size, 2 * size
 
 
 def _last_block(pos, velocity_law, measure, rng, T, k, size, start, horizon, variant):
@@ -293,7 +316,7 @@ def _count(traj, t, past_end):
     t_arr = np.asarray(t, dtype=float)
     if np.any(t_arr < 0.0):
         raise ValueError("t must be nonnegative")
-    if past_end(t_arr.max(), traj.total_duration):
+    if t_arr.size and past_end(t_arr.max(), traj.total_duration):
         raise TrajectoryExhausted(
             f"trajectory covers [0, {traj.total_duration:g}], queried {t_arr.max():g}")
     n = np.searchsorted(traj.renewal_times, t_arr, side="right")

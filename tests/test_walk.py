@@ -1,5 +1,6 @@
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from levywalk import (SpectralMeasure, TailLaw, Trajectory,
                       position_wait_first, renewal_count, sample_trajectory,
                       stream_rng, walks, write_trajectory_csv)
 from levywalk.harness import INVARIANTS_STREAM
+from levywalk.randgen import _stream_rngs
 from levywalk.walk import _skip
 
 E1 = [1.0, 0.0]
@@ -92,6 +94,10 @@ class TestPositions:
         ts = np.array([0.25, 1.0, 1.75])
         out = position_continuous(traj, ts)
         np.testing.assert_allclose(out, [[0.25], [1.0], [-0.5]])
+        # no times: an empty result of the query's shape
+        assert renewal_count(traj, []).shape == (0,)
+        for query in (position_wait_first, position_jump_first, position_continuous):
+            assert query(traj, []).shape == (0, 1)
 
 
 def test_sandwich_identities_exact():
@@ -247,6 +253,20 @@ def test_walk_endpoint_domain():
     assert counts.shape == (0,) and counts.dtype == np.int64 and pos.shape == (0, 2)
 
 
+def test_position_walks_keep_one_block_of_durations():
+    # each position walk keeps only its own block's durations: at this
+    # horizon a first block is about 8300 steps (65 KiB), and no array of
+    # many walks' blocks may build up
+    tracemalloc.start()
+    try:
+        walks(TailLaw(0.5), TailLaw(0.8), SpectralMeasure.uniform(2),
+              [rng for _, rng in _stream_rngs(0, 0, 0, 200)], 1e8, "wait-first")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 2**20
+
+
 @pytest.mark.parametrize("horizon", [math.inf, -math.inf, math.nan])
 def test_non_finite_horizon_is_named(horizon):
     # inf used to reach int(inf) in the first block's size (a bare
@@ -365,7 +385,7 @@ def position_reads(first, piece, n, variant):
 
 @pytest.mark.parametrize("variant", ["wait-first", "jump-first", "continuous"])
 def test_last_block_draws_only_what_it_reads(monkeypatch, variant):
-    monkeypatch.setattr(levywalk.walk, "PIECE", 8)
+    monkeypatch.setattr(levywalk.walk, "POSITION_PIECE", 8)
     log_skips(monkeypatch)
     dur, vel, measure = TailLaw(0.5), TailLaw(0.8), SpectralMeasure.uniform(2)
     horizon = 1e4

@@ -1,7 +1,7 @@
 """Property tests: walks equals the Trajectory route.
 
 walks draws only the words a walk reads and skips the rest, so over random
-indices, dimensions, measures, speed laws, block, piece and span sizes, tie
+indices, dimensions, measures, speed laws, block and piece sizes, tie
 horizons and bit generators it must give each walk of one to three spans
 renewal_count and, for a variant, the position_* value of sample_trajectory
 on the same generator state. A count-only walk must leave its generator
@@ -64,18 +64,17 @@ def reads_to_crossing(dur, vel, measure, rng, horizon, first, piece):
         size *= 2
 
 
-def run_walks(alpha, beta, d, atoms, variant, spans, extra, block, piece, span_rows,
-              slack, steps, tie, philox, seed, j):
+def run_walks(alpha, beta, d, atoms, variant, spans, extra, block, piece, steps, tie,
+              philox, seed, j):
     """Walk 1 to 3 spans of generators with walks and with sample_trajectory
     on the same generator states; return the trajectories, horizon,
     generators after walks, counts and positions."""
     dur = TailLaw(alpha)
     vel = 1.5 if beta is None else TailLaw(beta)  # fixed or Pareto speeds
     measure = SpectralMeasure.atoms(*ATOMS[d]) if atoms else SpectralMeasure.uniform(d)
-    # a T_BYTES that holds span_rows first blocks of durations (one when
-    # span_rows is 0), so position calls take span_rows walks a span
-    t_bytes = 8 * block * span_rows + slack % (8 * block)
-    rows = SPAN_ROWS if variant is None else max(1, span_rows)
+    # count-only walks advance in lockstep spans of SPAN_ROWS; position
+    # walks run one at a time, so spans of 8 of them cover the span loop
+    rows = SPAN_ROWS if variant is None else 8
     # with a first block of `block` steps and a horizon of about `steps`
     # blocks' expected renewals, the walks of one span cross in different
     # rounds and blocks
@@ -94,8 +93,9 @@ def run_walks(alpha, beta, d, atoms, variant, spans, extra, block, piece, span_r
             trajs = [sample_trajectory(dur, vel, measure, generator(philox, seed, j + i),
                                        horizon) for i in range(n_walks)]
         rngs = [generator(philox, seed, j + i) for i in range(n_walks)]
-        with mock.patch.object(levywalk.walk, "PIECE", piece), \
-                mock.patch.object(levywalk.walk, "T_BYTES", t_bytes):
+        with mock.patch.object(levywalk.walk, "SPAN_ROWS", rows), \
+                mock.patch.object(levywalk.walk, "PIECE", piece), \
+                mock.patch.object(levywalk.walk, "POSITION_PIECE", piece):
             counts, positions = walks(dur, vel, measure, rngs, horizon, variant)
     assert counts.dtype == np.int64
     assert counts.tolist() == [renewal_count(traj, horizon) for traj in trajs]
@@ -105,8 +105,8 @@ def run_walks(alpha, beta, d, atoms, variant, spans, extra, block, piece, span_r
 walk_cases = dict(
     alpha=indices, beta=st.one_of(st.none(), indices), d=st.integers(1, 3),
     atoms=st.booleans(), spans=st.integers(1, 3), extra=st.integers(0, SPAN_ROWS - 1),
-    block=st.integers(1, 16), piece=st.integers(1, 8), span_rows=st.integers(0, 8),
-    slack=st.integers(0, 127), steps=st.floats(min_value=0.0, max_value=8.0),
+    block=st.integers(1, 16), piece=st.integers(1, 8),
+    steps=st.floats(min_value=0.0, max_value=8.0),
     tie=st.booleans(), philox=st.booleans(), seed=st.integers(0, 2**32 - 1),
     j=st.integers(0, 2**16))
 
