@@ -15,7 +15,7 @@ from .scaling import (CRITICAL, SUBORDINATOR_DOMINATED, VELOCITY_DOMINATED,
                       EnsembleSnapshot, Regime, classify_regime,
                       continuous_limit_interpolation, joint_partial_sums,
                       rescaled_ensemble)
-from .stats import (LogCorrectionFit, TailFit, hill_estimator, ks_distance,
+from .stats import (LogCorrectionFit, hill_estimator, ks_distance,
                     log_correction_fit, product_tail_theory,
                     scaling_exponent_fit, spearman)
 from .harness import (ExperimentConfig, ReportRow, SUITES, aggregate_reports,

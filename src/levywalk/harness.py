@@ -1,15 +1,15 @@
-"""Experiment orchestration: config parsing, verification suites, persistence.
+"""Experiment orchestration: config parsing, verification suites, run staging, writers.
 
 One experiment = one directory holding the resolved config snapshot, the
 ensemble/trajectory CSVs with JSON sidecars, and a report CSV whose rows
 are (test, parameters, statistic, threshold, verdict). Identical (config,
 seed) reruns produce byte-identical files regardless of thread count:
 every sample j of every ensemble e draws from stream_rng(seed, e, j) and
-results are merged by sample index.
+results are merged by sample index. The suites' kernels sit beside the
+code they extend: the chunked tail counts in stats, grid passages in randgen.
 """
 
 import contextlib
-import copy
 import json
 import math
 import os
@@ -20,7 +20,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import ConfigError, ValidationError
-from .randgen import (TailLaw, SpectralMeasure, _pareto_from_uniforms, _stream_rngs,
+from .randgen import (TailLaw, SpectralMeasure, _grid_passage_index, _stream_rngs,
                       build_subordinator_path, positive_stable, stream_rng)
 from .walk import (position_continuous, position_jump_first, position_wait_first,
                    renewal_count, sample_trajectory, walks,
@@ -29,8 +29,6 @@ from .scaling import (VARIANTS, classify_regime,
                       continuous_limit_interpolation, joint_partial_sums,
                       _parallel_fill, rescaled_ensemble)
 from . import stats
-
-SUITES = ("laplace", "tails", "critical", "collapse", "exponents", "invariants")
 
 # stream id blocks: ensemble index "e" in the (master seed, e, j) scheme
 SIM_STREAM = 0
@@ -42,18 +40,9 @@ COLLAPSE_STREAM = 400
 EXPONENTS_STREAM = 500
 INVARIANTS_STREAM = 600
 
-VARIANT_NAMES = tuple(VARIANTS)
-
 # caps on what a config may ask for: an ensemble is one (n_samples, d) array
 MAX_ENSEMBLE_VALUES = 10**8
 MAX_TRAJECTORIES = 10**4
-# the tails and critical suites draw their Pareto samples and products in
-# pieces of this many samples (512 KiB of doubles) instead of holding them
-PRODUCT_CHUNK = 2**16
-# relative half-width of the band around each threshold of _counts_below's
-# proxy inside which a chunk is counted from its products; the proxy and the
-# products round at about 1e-16, so a chunk rarely falls back
-BAND = 1e-9
 # below these indices the invariants suite's fixed scales overflow floats:
 # with warnings as errors, at seeds 0-19, 2 seeds overflow at alpha = 0.04
 # (beta = 0.8) and 1 at beta = 0.04 (alpha = 0.5); none at 0.05
@@ -149,8 +138,8 @@ def _validate(cfg: ExperimentConfig):
         raise ValidationError("beta", f"must be in (0,1), got {cfg.beta}")
     if cfg.d < 1:
         raise ValidationError("d", "must be >= 1")
-    if cfg.variant not in VARIANT_NAMES:
-        raise ValidationError("variant", f"must be one of {VARIANT_NAMES}")
+    if cfg.variant not in VARIANTS:
+        raise ValidationError("variant", f"must be one of {tuple(VARIANTS)}")
     if cfg.measure not in ("uniform", "atoms"):
         raise ValidationError("measure", "must be `uniform` or `atoms`")
     if cfg.measure == "atoms":
@@ -271,20 +260,8 @@ def suite_laplace(cfg, threads=1):
     return rows, []
 
 
-def _grid_passage_index(alpha, delta_tau, t, rng, size):
-    """First grid indices k with S(k * delta_tau) > t, for `size` subordinator paths.
-
-    A stable subordinator is strictly increasing and a.s. never hits a
-    fixed level, so that index is a.s. floor(E(t) / delta_tau) + 1, with E
-    the inverse subordinator. By self-similarity E(t) has the exact law
-    (t / S(1))^alpha (Meerschaert & Straka 2013): one stable draw a path.
-    """
-    e = (t / positive_stable(alpha, rng, size)) ** alpha
-    return np.floor(e / delta_tau).astype(np.int64) + 1
-
-
-def _counting_limit_rows(cfg, threads, alpha=0.5, n=10**6, n_traj=10**4,
-                         delta=1e-4, n_paths=10**4, t=1.0):
+def _counting_limit_rows(cfg, threads, n=10**6, n_traj=10**4, n_paths=10**4):
+    alpha, delta, t = 0.5, 1e-4, 1.0
     # durations normalized so the count limit is the standard inverse
     # subordinator: cutoff = Gamma(1-alpha)^(-1/alpha)
     law = TailLaw.stable_normalized(alpha)
@@ -321,129 +298,10 @@ def _counting_limit_rows(cfg, threads, alpha=0.5, n=10**6, n_traj=10**4,
     return rows
 
 
-def _factor_rngs(indices, rng, n, start=0):
-    """One generator per factor of the one-shot product of n samples, each
-    at sample start of its factor.
-
-    Factor i starts i * n doubles on, and random() reads one 64-bit word a
-    double, so a copy of the bit generator advanced by i * n + start words
-    draws it. rng itself is not moved.
-    """
-    if not isinstance(rng.bit_generator, np.random.PCG64):
-        raise TypeError(f"need a PCG64 generator to skip ahead, "
-                        f"got {type(rng.bit_generator).__name__}")
-    return [np.random.Generator(copy.deepcopy(rng.bit_generator).advance(i * n + start))
-            for i in range(len(indices))]
-
-
-def _products_into(laws, rngs, out, scratch):
-    """Write into out the next m = len(out) products of draw_pareto(law, rng_i, m)
-    over the factors, bit for bit; return out.
-
-    Factor 1's uniforms are drawn into out and factor i > 1's into scratch
-    (at least as long as out), each turned into draw_pareto's variates in
-    place by _pareto_from_uniforms, so no array is allocated.
-    """
-    with np.errstate(over="ignore"):  # an overflow is the finiteness check's to refuse
-        _pareto_from_uniforms(laws[0], rngs[0].random(out=out))
-        y = scratch[:out.size]
-        for law, rng_i in zip(laws[1:], rngs[1:]):
-            np.multiply(out, _pareto_from_uniforms(law, rng_i.random(out=y)), out=out)
-    # the products are positive, so an inf or NaN shows in their max
-    if not np.isfinite(out.max()):
-        raise ValueError("samples must be finite")
-    return out
-
-
-def _counts_below(indices, rng, n, z):
-    """#{X <= z_j} for each z_j of the nondecreasing array z, over the n
-    products X of draw_pareto(TailLaw(a), rng, n) over a in indices, the
-    factors drawn one after another, counted from their uniforms.
-
-    With a_i = 1 - u_i (exact) for factor i's uniforms, a product is
-    X = p^(-1/alpha_1) for the proxy p = a_1 prod_{i>1} a_i^(alpha_1/alpha_i),
-    so X <= z_j exactly when p >= q_j = z_j^(-alpha_1): equal indices need
-    no pow at all. A chunk is counted from -p against -q_j (1 + BAND) and
-    -q_j (1 - BAND) with stats.counts_at_most, which the uniforms' buffers
-    hold in place of the uniforms. Where the rounding of p or of X could
-    decide a count, because some p lies inside a band, or where some
-    factor or product could overflow, because some p lies below
-    2^(-1000 alpha_1) (X above 2^1000), the chunk is drawn again from the
-    same words into the same buffers and counted from its products
-    (_products_into, with its finiteness check). So the counts, and any
-    ValueError, are those of the one-shot product. Once counted, rng is in
-    the state the one-shot draw leaves.
-    """
-    laws = [TailLaw(a) for a in indices]
-    rngs = _factor_rngs(indices, rng, n)
-    lead = indices[0]
-    # every X is >= 1, so z < 1 counts none; the clamp keeps q finite and
-    # above 1 >= p
-    q = np.maximum(z, 0.5) ** -lead
-    edges = np.append(np.column_stack([-q * (1.0 + BAND), -q * (1.0 - BAND)]).ravel(),
-                      -2.0 ** (-1000.0 * lead))
-    order = np.argsort(edges, kind="stable")  # bands of close z_j overlap
-    sorted_edges = edges[order]
-    counts = np.empty(edges.size, dtype=np.int64)
-    below = np.zeros(z.size, dtype=np.int64)
-    uniforms = [np.empty(min(PRODUCT_CHUNK, n)) for _ in indices]
-    for start in range(0, n, PRODUCT_CHUNK):
-        m = min(PRODUCT_CHUNK, n - start)
-        a = [rng_i.random(out=u[:m]) for rng_i, u in zip(rngs, uniforms)]
-        neg_p = np.subtract(a[0], 1.0, out=a[0])  # -a_1
-        for index, a_i in zip(indices[1:], a[1:]):
-            np.subtract(1.0, a_i, out=a_i)
-            if index != lead:
-                np.power(a_i, lead / index, out=a_i)
-            neg_p = np.multiply(neg_p, a_i, out=a_i)
-        counts[order] = stats.counts_at_most(neg_p, sorted_edges)
-        # #{p >= q_j (1 + BAND)}, #{p >= q_j (1 - BAND)}, #{p >= 2^(-1000 alpha_1)}
-        outer, inner, safe = counts[:-1:2], counts[1:-1:2], counts[-1]
-        if safe == m and np.array_equal(outer, inner):
-            below += outer
-        else:
-            # one factor needs no scratch, so uniforms[-1] may be uniforms[0]
-            x = _products_into(laws, _factor_rngs(indices, rng, n, start), uniforms[0][:m],
-                               uniforms[-1])
-            below += stats.counts_at_most(x, z)
-    rng.bit_generator.advance(len(indices) * n)
-    return below
-
-
-def _top(indices, rng, n, k):
-    """The k + 1 largest of the n products of draw_pareto(TailLaw(a), rng, n)
-    over a in indices, unordered; rng is left as the one-shot draw leaves it.
-
-    The products are drawn PRODUCT_CHUNK at a time, bit for bit those of
-    the one-shot expression, into one array that keeps the running top at
-    its end: each chunk is written just in front of the top, and the two
-    together are partitioned in place so that the k + 1 largest end up at
-    the end again. That is the same multiset as the top k + 1 of the
-    whole product, which is all a Hill estimate reads. The array and the
-    further factors' scratch chunk are made once, so no chunk allocates or
-    frees an array: a chunk freed each time lets glibc trim the heap top
-    after every chunk, at about 4000 more page faults in the Hill row.
-    """
-    laws = [TailLaw(a) for a in indices]
-    rngs = _factor_rngs(indices, rng, n)
-    chunk = min(PRODUCT_CHUNK, n)
-    buf, scratch = np.empty(k + 1 + chunk), np.empty(chunk)
-    kept = 0
-    for start in range(0, n, PRODUCT_CHUNK):
-        m = min(PRODUCT_CHUNK, n - start)
-        lo = buf.size - kept - m
-        _products_into(laws, rngs, buf[lo:lo + m], scratch)
-        kept = min(kept + m, k + 1)
-        if buf.size - lo > kept:
-            buf[lo:].partition(buf.size - lo - kept)
-    rng.bit_generator.advance(len(indices) * n)
-    return buf[buf.size - kept:]
-
-
 def suite_tails(cfg, threads=1):
     """Pareto survival spot checks, product tail index, critical-asymptote drift.
 
-    Every bulk draw streams in PRODUCT_CHUNK pieces and reduces to integer
+    Every bulk draw streams in stats.PRODUCT_CHUNK pieces and reduces to integer
     counts or a top-k, so the rows equal those of whole arrays bit for bit.
     """
     rows = []
@@ -453,7 +311,7 @@ def suite_tails(cfg, threads=1):
         rng = stream_rng(cfg.seed, TAILS_STREAM + i, 0)
         zs = [mult * law.cutoff for mult in (2.0, 10.0, 100.0)]
         # n - #{x <= z} = #{x > z} for finite draws; count / n is np.mean(x > z) exactly
-        above = n - _counts_below((index,), rng, n, np.array(zs))
+        above = n - stats._counts_below((index,), rng, n, np.array(zs))
         for z, count in zip(zs, above):
             p = float(law.survival(z))
             p_hat = int(count) / n
@@ -462,15 +320,15 @@ def suite_tails(cfg, threads=1):
             rows.append(_row("pareto-survival", f"index={index};x={z}", dev, 3.0, dev <= 3.0))
 
     rng = stream_rng(cfg.seed, TAILS_STREAM + 10, 0)
-    fit = stats.hill_estimator(_top((0.5, 0.8), rng, n, 10**4), 10**4)
-    dev = abs(fit.estimate - 0.5)
+    estimate = stats.hill_estimator(stats._top((0.5, 0.8), rng, n, 10**4), 10**4)
+    dev = abs(estimate - 0.5)
     rows.append(_row("product-tail-hill",
-                     f"alpha=0.5;beta=0.8;N=1000000;k=10000;estimate={fit.estimate!r}",
+                     f"alpha=0.5;beta=0.8;N=1000000;k=10000;estimate={estimate!r}",
                      dev, 0.05, dev <= 0.05))
 
     rng = stream_rng(cfg.seed, TAILS_STREAM + 11, 0)
     zs = np.array([1e2, 1e3, 1e4])
-    p_hat = 1.0 - _counts_below((0.5, 0.5), rng, 10**7, zs) / 10**7
+    p_hat = 1.0 - stats._counts_below((0.5, 0.5), rng, 10**7, zs) / 10**7
     ratios = p_hat / stats.product_tail_theory(zs, 0.5)
     worst_step = float(np.max(np.diff(ratios)))
     rows.append(_row("product-tail-ratio-monotone",
@@ -485,14 +343,14 @@ def suite_critical(cfg, threads=1):
     """Log-correction fits: critical slope matches alpha, noncritical slope is flat."""
     z_grid = np.geomspace(1e2, 1e4, 25)
     rng = stream_rng(cfg.seed, CRITICAL_STREAM, 0)
-    below = _counts_below((0.5, 0.5), rng, 10**7, z_grid)
+    below = stats._counts_below((0.5, 0.5), rng, 10**7, z_grid)
     fit = stats.log_correction_fit_counts(10**7 - below, 10**7, z_grid, 0.5)
     rel = abs(fit.slope - 0.5) / 0.5
     rows = [_row("log-correction-slope-critical",
                  f"alpha=0.5;beta=0.5;N=10000000;slope={fit.slope!r}", rel, 0.20, rel <= 0.20)]
 
     rng = stream_rng(cfg.seed, CRITICAL_STREAM + 1, 0)
-    below = _counts_below((0.5, 0.8), rng, 10**7, z_grid)
+    below = stats._counts_below((0.5, 0.8), rng, 10**7, z_grid)
     fit_n = stats.log_correction_fit_counts(10**7 - below, 10**7, z_grid, 0.5)
     rows.append(_row("log-correction-flat-noncritical",
                      f"alpha=0.5;beta=0.8;N=10000000;slope={fit_n.slope!r};fit_se={fit_n.slope_se!r}",
@@ -569,7 +427,8 @@ def suite_invariants(cfg, threads=1):
     return rows, []
 
 
-def _identity_rows(cfg, n_traj=1000, n_times=100):
+def _identity_rows(cfg):
+    n_traj, n_times = 1000, 100
     dur, vel = TailLaw(cfg.alpha), TailLaw(cfg.beta)
     measure = cfg.spectral_measure()
     c = dur.tail_constant
@@ -621,7 +480,8 @@ def _identity_rows(cfg, n_traj=1000, n_times=100):
     ]
 
 
-def _coupling_rows(cfg, threads, n=10**4, n_samples=10**4):
+def _coupling_rows(cfg, threads):
+    n = n_samples = 10**4
     # well separated index pairs so the finite-n residual dependence of the
     # uncoupled case sits far below the test resolution
     measure = SpectralMeasure.uniform(2)
@@ -640,15 +500,16 @@ def _coupling_rows(cfg, threads, n=10**4, n_samples=10**4):
     return rows
 
 
-def _interpolation_rows(cfg, n_paths=1000, n_times=100):
+def _interpolation_rows(cfg):
+    n_paths, n_times = 1000, 100
     dur = TailLaw(cfg.alpha)
     vel = TailLaw(cfg.beta)
     measure = cfg.spectral_measure()
     weight_bad = 0
     worst_excess = -np.inf
     for _, rng in _stream_rngs(cfg.seed, INVARIANTS_STREAM + 20, 0, n_paths):
-        path = build_subordinator_path(cfg.alpha, 1.0, 0.01, rng, mark_jumps=True,
-                                       velocity_law=vel, measure=measure)
+        path = build_subordinator_path(cfg.alpha, 1.0, 0.01, rng, velocity_law=vel,
+                                       measure=measure)
         C = path.cumulative
         ts = rng.random(n_times) * C[-1] * 0.999
         k = np.searchsorted(C, ts, side="right")
@@ -709,6 +570,7 @@ _SUITE_FUNCS = {
     "exponents": suite_exponents,
     "invariants": suite_invariants,
 }
+SUITES = tuple(_SUITE_FUNCS)
 
 
 def _write_run(cfg, out_dir, name, run):
@@ -785,7 +647,14 @@ def run_simulate(cfg: ExperimentConfig, out_dir: str, threads: int = 1) -> int:
         regime = classify_regime(cfg.alpha, cfg.beta)
         horizon = regime.time_norm(cfg.n_grid[0]) * max(cfg.t_grid)
         for k, rng in _stream_rngs(cfg.seed, TRAJ_STREAM, 0, cfg.trajectories):
-            traj = sample_trajectory(dur, vel, measure, rng, horizon)
+            with np.errstate(over="ignore", invalid="ignore"):  # refused below
+                traj = sample_trajectory(dur, vel, measure, rng, horizon)
+            parts = traj.T, traj.V, traj.U, traj.renewal_times, traj.positions
+            if not all(np.isfinite(a).all() for a in parts):
+                raise ValidationError(
+                    "trajectories", f"trajectory {k} holds a non-finite step or position "
+                    f"at alpha = {cfg.alpha}, beta = {cfg.beta}: a step overflows a float; "
+                    f"use fewer trajectories or larger indices")
             with open(os.path.join(exp_dir, f"trajectory_{k}.csv"), "w", newline="\n") as fh:
                 write_trajectory_csv(traj, fh)
         return 0

@@ -298,15 +298,22 @@ def positive_stable(alpha: float, rng, size=None):
         raise ValueError(f"alpha must be in (0,1), got {alpha}")
     u = np.pi * (1.0 - rng.random(size))  # in (0, pi]; endpoint is harmless
     w = rng.standard_exponential(size)
-    return _kanter(alpha, u, w)
+    sin_au = np.sin(alpha * u)
+    # at alpha = 1/2 the two angles are the same floats, so one sine serves both
+    sin_bu = sin_au if 1.0 - alpha == alpha else np.sin((1.0 - alpha) * u)
+    return (sin_au / np.sin(u) ** (1.0 / alpha)) * (sin_bu / w) ** ((1.0 - alpha) / alpha)
 
 
-def _kanter(a, u, w):
-    """Kanter's formula at angles u and exponentials w (see positive_stable)."""
-    sin_au = np.sin(a * u)
-    # at a = 1/2 the two angles are the same floats, so one sine serves both
-    sin_bu = sin_au if 1.0 - a == a else np.sin((1.0 - a) * u)
-    return (sin_au / np.sin(u) ** (1.0 / a)) * (sin_bu / w) ** ((1.0 - a) / a)
+def _grid_passage_index(alpha, delta_tau, t, rng, size):
+    """First grid indices k with S(k * delta_tau) > t, for `size` subordinator paths.
+
+    A stable subordinator is strictly increasing and a.s. never hits a
+    fixed level, so that index is a.s. floor(E(t) / delta_tau) + 1, with E
+    the inverse subordinator. By self-similarity E(t) has the exact law
+    (t / S(1))^alpha (Meerschaert & Straka 2013): one stable draw a path.
+    """
+    e = (t / positive_stable(alpha, rng, size)) ** alpha
+    return np.floor(e / delta_tau).astype(np.int64) + 1
 
 
 @dataclass
@@ -350,23 +357,23 @@ def build_subordinator_path(
     tau_max: float,
     delta_tau: float,
     rng,
-    mark_jumps: bool = False,
     velocity_law=None,
     measure: SpectralMeasure = None,
 ) -> SubordinatorPath:
     """I.i.d. S(delta_tau) increments on a grid covering [0, tau_max].
 
-    velocity_law may be a TailLaw or a plain positive float for a
-    deterministic speed (degenerate diagnostic case).
+    Given velocity_law and measure, each increment also gets a jump mark
+    (speed, direction). velocity_law may be a TailLaw or a plain positive
+    float for a deterministic speed (degenerate diagnostic case).
     """
     if tau_max <= 0.0 or delta_tau <= 0.0 or delta_tau > tau_max:
         raise ValueError("need 0 < delta_tau <= tau_max")
+    if (velocity_law is None) != (measure is None):
+        raise ValueError("jump marks need both velocity_law and measure")
     m = int(math.ceil(tau_max / delta_tau))
     inc = delta_tau ** (1.0 / alpha) * positive_stable(alpha, rng, m)
     mark_v = mark_u = None
-    if mark_jumps:
-        if velocity_law is None or measure is None:
-            raise ValueError("mark_jumps requires velocity_law and measure")
+    if measure is not None:
         mark_v, mark_u = _draw_speeds(velocity_law, rng, m), sample_direction(measure, rng, m)
     return SubordinatorPath(alpha, delta_tau, inc, mark_v=mark_v, mark_u=mark_u)
 

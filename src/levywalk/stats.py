@@ -2,17 +2,21 @@
 
 All estimators are pure functions of sample arrays they leave unchanged, or
 of integer tail counts from `counts_at_most`, which reorders its sample.
+The tail suites' bulk samples are never held whole: `_counts_below` counts
+Pareto products below thresholds, and `_top` keeps their largest values,
+PRODUCT_CHUNK samples at a time, bit for bit as the one-shot draw.
 """
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DegenerateInput, InsufficientData
+from .randgen import TailLaw, _pareto_from_uniforms
 from .scaling import CRITICAL
 
 __all__ = [
-    "TailFit",
     "LogCorrectionFit",
     "hill_estimator",
     "product_tail_theory",
@@ -23,13 +27,6 @@ __all__ = [
     "scaling_exponent_fit",
     "spearman",
 ]
-
-
-@dataclass(frozen=True)
-class TailFit:
-    estimate: float
-    k: int
-    se: float  # Hill asymptotic standard error, estimate / sqrt(k)
 
 
 @dataclass(frozen=True)
@@ -47,11 +44,12 @@ def _require_finite(*arrays):
         raise ValueError("samples must be finite")
 
 
-def hill_estimator(samples, k: int) -> TailFit:
+def hill_estimator(samples, k: int) -> float:
     """Hill tail-index estimate from the k largest order statistics.
 
-    estimate = 1 / mean(log(X_(j) / X_(k+1)), j = 1..k). Unbiased for exact
-    Pareto at any k; k is a bias/variance dial for anything else.
+    Returns 1 / mean(log(X_(j) / X_(k+1)), j = 1..k), whose asymptotic
+    standard error is the estimate over sqrt(k). Unbiased for exact Pareto
+    at any k; k is a bias/variance dial for anything else.
     """
     x = np.asarray(samples, dtype=float)
     if k < 10:
@@ -66,8 +64,7 @@ def hill_estimator(samples, k: int) -> TailFit:
     mean_log = np.mean(np.log(top[1:]) - np.log(top[0]))
     if mean_log <= 0.0:
         raise DegenerateInput("top order statistics carry no log spacing")
-    est = 1.0 / mean_log
-    return TailFit(estimate=float(est), k=int(k), se=float(est / np.sqrt(k)))
+    return float(1.0 / mean_log)
 
 
 def product_tail_theory(z, alpha: float):
@@ -98,6 +95,14 @@ def ks_distance(a, b) -> float:
 # the 22-33 % above it costs 0.23-0.3 ms, so they cross at 12-16.
 FEW_THRESHOLDS = 12
 
+# the tails and critical suites draw their Pareto samples and products in
+# pieces of this many samples (512 KiB of doubles) instead of holding them
+PRODUCT_CHUNK = 2**16
+# relative half-width of the band around each threshold of _counts_below's
+# proxy inside which a chunk is counted from its products; the proxy and the
+# products round at about 1e-16, so a chunk rarely falls back
+BAND = 1e-9
+
 
 def counts_at_most(x, z):
     """#{x <= z_i} for each z_i of the nondecreasing array z, reordering x in place.
@@ -116,6 +121,124 @@ def counts_at_most(x, z):
     above.sort()
     return low + np.searchsorted(above, z, side="right")
 
+
+def _factor_rngs(indices, rng, n, start=0):
+    """One generator per factor of the one-shot product of n samples, each
+    at sample start of its factor.
+
+    Factor i starts i * n doubles on, and random() reads one 64-bit word a
+    double, so a copy of the bit generator advanced by i * n + start words
+    draws it. rng itself is not moved.
+    """
+    if not isinstance(rng.bit_generator, np.random.PCG64):
+        raise TypeError(f"need a PCG64 generator to skip ahead, "
+                        f"got {type(rng.bit_generator).__name__}")
+    return [np.random.Generator(copy.deepcopy(rng.bit_generator).advance(i * n + start))
+            for i in range(len(indices))]
+
+
+def _products_into(laws, rngs, out, scratch):
+    """Write into out the next m = len(out) products of draw_pareto(law, rng_i, m)
+    over the factors, bit for bit; return out.
+
+    Factor 1's uniforms are drawn into out and factor i > 1's into scratch
+    (at least as long as out), each turned into draw_pareto's variates in
+    place by _pareto_from_uniforms, so no array is allocated.
+    """
+    with np.errstate(over="ignore"):  # an overflow is the finiteness check's to refuse
+        _pareto_from_uniforms(laws[0], rngs[0].random(out=out))
+        y = scratch[:out.size]
+        for law, rng_i in zip(laws[1:], rngs[1:]):
+            np.multiply(out, _pareto_from_uniforms(law, rng_i.random(out=y)), out=out)
+    # the products are positive, so an inf or NaN shows in their max
+    if not np.isfinite(out.max()):
+        raise ValueError("samples must be finite")
+    return out
+
+
+def _counts_below(indices, rng, n, z):
+    """#{X <= z_j} for each z_j of the nondecreasing array z, over the n
+    products X of draw_pareto(TailLaw(a), rng, n) over a in indices, the
+    factors drawn one after another, counted from their uniforms.
+
+    With a_i = 1 - u_i (exact) for factor i's uniforms, a product is
+    X = p^(-1/alpha_1) for the proxy p = a_1 prod_{i>1} a_i^(alpha_1/alpha_i),
+    so X <= z_j exactly when p >= q_j = z_j^(-alpha_1): equal indices need
+    no pow at all. A chunk is counted from -p against -q_j (1 + BAND) and
+    -q_j (1 - BAND) with counts_at_most, which the uniforms' buffers
+    hold in place of the uniforms. Where the rounding of p or of X could
+    decide a count, because some p lies inside a band, or where some
+    factor or product could overflow, because some p lies below
+    2^(-1000 alpha_1) (X above 2^1000), the chunk is drawn again from the
+    same words into the same buffers and counted from its products
+    (_products_into, with its finiteness check). So the counts, and any
+    ValueError, are those of the one-shot product. Once counted, rng is in
+    the state the one-shot draw leaves.
+    """
+    laws = [TailLaw(a) for a in indices]
+    rngs = _factor_rngs(indices, rng, n)
+    lead = indices[0]
+    # every X is >= 1, so z < 1 counts none; the clamp keeps q finite and
+    # above 1 >= p
+    q = np.maximum(z, 0.5) ** -lead
+    edges = np.append(np.column_stack([-q * (1.0 + BAND), -q * (1.0 - BAND)]).ravel(),
+                      -2.0 ** (-1000.0 * lead))
+    order = np.argsort(edges, kind="stable")  # bands of close z_j overlap
+    sorted_edges = edges[order]
+    counts = np.empty(edges.size, dtype=np.int64)
+    below = np.zeros(z.size, dtype=np.int64)
+    uniforms = [np.empty(min(PRODUCT_CHUNK, n)) for _ in indices]
+    for start in range(0, n, PRODUCT_CHUNK):
+        m = min(PRODUCT_CHUNK, n - start)
+        a = [rng_i.random(out=u[:m]) for rng_i, u in zip(rngs, uniforms)]
+        neg_p = np.subtract(a[0], 1.0, out=a[0])  # -a_1
+        for index, a_i in zip(indices[1:], a[1:]):
+            np.subtract(1.0, a_i, out=a_i)
+            if index != lead:
+                np.power(a_i, lead / index, out=a_i)
+            neg_p = np.multiply(neg_p, a_i, out=a_i)
+        counts[order] = counts_at_most(neg_p, sorted_edges)
+        # #{p >= q_j (1 + BAND)}, #{p >= q_j (1 - BAND)}, #{p >= 2^(-1000 alpha_1)}
+        outer, inner, safe = counts[:-1:2], counts[1:-1:2], counts[-1]
+        if safe == m and np.array_equal(outer, inner):
+            below += outer
+        else:
+            # one factor needs no scratch, so uniforms[-1] may be uniforms[0]
+            x = _products_into(laws, _factor_rngs(indices, rng, n, start), uniforms[0][:m],
+                               uniforms[-1])
+            below += counts_at_most(x, z)
+    rng.bit_generator.advance(len(indices) * n)
+    return below
+
+
+def _top(indices, rng, n, k):
+    """The k + 1 largest of the n products of draw_pareto(TailLaw(a), rng, n)
+    over a in indices, unordered; rng is left as the one-shot draw leaves it.
+
+    The products are drawn PRODUCT_CHUNK at a time, bit for bit those of
+    the one-shot expression, into one array that keeps the running top at
+    its end: each chunk is written just in front of the top, and the two
+    together are partitioned in place so that the k + 1 largest end up at
+    the end again. That is the same multiset as the top k + 1 of the
+    whole product, which is all a Hill estimate reads. The array and the
+    further factors' scratch chunk are made once, so no chunk allocates or
+    frees an array: a chunk freed each time lets glibc trim the heap top
+    after every chunk, at about 4000 more page faults in the Hill row.
+    """
+    laws = [TailLaw(a) for a in indices]
+    rngs = _factor_rngs(indices, rng, n)
+    chunk = min(PRODUCT_CHUNK, n)
+    buf, scratch = np.empty(k + 1 + chunk), np.empty(chunk)
+    kept = 0
+    for start in range(0, n, PRODUCT_CHUNK):
+        m = min(PRODUCT_CHUNK, n - start)
+        lo = buf.size - kept - m
+        _products_into(laws, rngs, buf[lo:lo + m], scratch)
+        kept = min(kept + m, k + 1)
+        if buf.size - lo > kept:
+            buf[lo:].partition(buf.size - lo - kept)
+    rng.bit_generator.advance(len(indices) * n)
+    return buf[buf.size - kept:]
 
 def log_correction_fit(samples, z_grid, alpha: float) -> LogCorrectionFit:
     """Least squares of y(z) = z^alpha * P_hat(X > z) against x = ln z.

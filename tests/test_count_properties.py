@@ -4,7 +4,7 @@ counts_at_most: over chunks with repeated values and thresholds on sample
 values, on both sides of the FEW_THRESHOLDS switch, the counts must be
 np.searchsorted(np.sort(x), z, side="right"), and x may only be reordered.
 
-harness._counts_below: over one or two Pareto factors of indices in
+stats._counts_below: over one or two Pareto factors of indices in
 [0.01, 0.95], short chunks and grids through sample values, the counts it
 takes from the uniforms must be those of the one-shot draw_pareto product,
 with its band as set and widened past every proxy (so that every chunk
@@ -21,7 +21,7 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
-from levywalk import TailLaw, draw_pareto, harness  # noqa: E402
+from levywalk import TailLaw, draw_pareto, stats  # noqa: E402
 from levywalk.stats import FEW_THRESHOLDS, counts_at_most  # noqa: E402
 
 # few distinct values, so chunks repeat values and thresholds land on them
@@ -47,11 +47,11 @@ def test_counts_at_most_match_sorted_search(x, z):
        picks=st.lists(st.floats(0.0, 1.0), max_size=6),
        extra=st.lists(st.one_of(st.floats(-2.0, 1e6), st.floats(1e6, 1e300),
                                 st.just(math.inf)), max_size=6),
-       band=st.sampled_from([harness.BAND, 1e300]))
+       band=st.sampled_from([stats.BAND, 1e300]))
 # a factor of index 0.01 overflows once 1 - u < 8e-4, about twice in 3000 draws
-@example(indices=[0.01], chunk=100, n=3000, seed=1, picks=[0.5], extra=[], band=harness.BAND)
+@example(indices=[0.01], chunk=100, n=3000, seed=1, picks=[0.5], extra=[], band=stats.BAND)
 @example(indices=[0.5, 0.01], chunk=1000, n=3000, seed=1, picks=[], extra=[2.0],
-         band=harness.BAND)
+         band=stats.BAND)
 @example(indices=[0.5, 0.01], chunk=1000, n=3000, seed=1, picks=[], extra=[2.0], band=1e300)
 def test_product_counts_match_one_shot_product(indices, chunk, n, seed, picks, extra, band):
     with np.errstate(over="ignore"):  # the reference may overflow; _counts_below must refuse it
@@ -64,12 +64,12 @@ def test_product_counts_match_one_shot_product(indices, chunk, n, seed, picks, e
     on_samples = [finite[int(p * (finite.size - 1))] for p in picks if finite.size]
     z = np.sort(np.array(on_samples + extra, dtype=float))
     rng = np.random.default_rng(seed)
-    with mock.patch.object(harness, "PRODUCT_CHUNK", chunk), \
-            mock.patch.object(harness, "BAND", band):
+    with mock.patch.object(stats, "PRODUCT_CHUNK", chunk), \
+            mock.patch.object(stats, "BAND", band):
         if finite.size < n:
             with pytest.raises(ValueError, match="finite"):
-                harness._counts_below(tuple(indices), rng, n, z)
+                stats._counts_below(tuple(indices), rng, n, z)
             return
-        below = harness._counts_below(tuple(indices), rng, n, z)
+        below = stats._counts_below(tuple(indices), rng, n, z)
     np.testing.assert_array_equal(below, np.searchsorted(x_sorted, z, side="right"))
     assert rng.bit_generator.state == rng_one.bit_generator.state

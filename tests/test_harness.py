@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import math
 import os
@@ -12,11 +13,11 @@ from levywalk import (ConfigError, ExperimentConfig, SpectralMeasure, TailLaw,
                       rescaled_ensemble, run_simulate, run_suite)
 from levywalk.harness import (INVARIANTS_MIN_ALPHA, INVARIANTS_MIN_BETA,
                               MAX_ENSEMBLE_VALUES, MAX_TRAJECTORIES, ReportRow,
-                              _counting_limit_rows, _counts_below, _determinism_row,
-                              _identity_rows, _interpolation_rows, _top, _validate,
+                              _counting_limit_rows, _determinism_row,
+                              _identity_rows, _interpolation_rows, _validate,
                               _validate_suite, suite_critical, suite_tails,
                               write_ensemble, write_report_csv)
-from levywalk.stats import FEW_THRESHOLDS, counts_at_most
+from levywalk.stats import FEW_THRESHOLDS, _counts_below, _top, counts_at_most
 from levywalk import cli, harness, stats
 from levywalk.cli import main as cli_main
 
@@ -242,21 +243,21 @@ def test_run_suite_tails_report(tmp_path):
 @pytest.mark.parametrize("a,b", [(0.5, 0.5), (0.5, 0.8)])
 def test_product_counts_match_one_shot(monkeypatch, a, b):
     # a chunk that does not divide n leaves a short last chunk
-    monkeypatch.setattr(harness, "PRODUCT_CHUNK", 1000)
+    monkeypatch.setattr(stats, "PRODUCT_CHUNK", 1000)
     n = 4321
     rng_one = np.random.default_rng(7)
     x = draw_pareto(TailLaw(a), rng_one, n) * draw_pareto(TailLaw(b), rng_one, n)
     x_sorted = np.sort(x)
     # grid points on sample values pin the side of the count: X <= z
     z = np.unique(np.concatenate([[0.5, 1.0, 10.0, 1e3, 1e6], x_sorted[[100, 2000, 4000]]]))
-    real, exact = harness._products_into, []
+    real, exact = stats._products_into, []
 
     def recording_products(laws, rngs, out, scratch):
         # the chunks counted from their products, copied out of the reused buffer
         exact.append(real(laws, rngs, out, scratch).copy())
         return out
 
-    monkeypatch.setattr(harness, "_products_into", recording_products)
+    monkeypatch.setattr(stats, "_products_into", recording_products)
     rng = np.random.default_rng(7)
     below = _counts_below((a, b), rng, n, z)
     np.testing.assert_array_equal(below, np.searchsorted(x_sorted, z, side="right"))
@@ -264,7 +265,7 @@ def test_product_counts_match_one_shot(monkeypatch, a, b):
     # the chunks holding the three sample values fall inside a band
     assert 1 <= len(exact) <= 3
     # a band wider than any proxy counts every chunk from its products
-    monkeypatch.setattr(harness, "BAND", math.inf)
+    monkeypatch.setattr(stats, "BAND", math.inf)
     exact.clear()
     rng = np.random.default_rng(7)
     np.testing.assert_array_equal(_counts_below((a, b), rng, n, z), below)
@@ -283,15 +284,15 @@ def test_product_counts_reject_non_finite(monkeypatch):
     # a factor of index 0.01 is (1 - u)^-100, which overflows once 1 - u is
     # below about 8e-4; the finiteness check, not the power's warning, is
     # what must raise, with warnings as errors
-    monkeypatch.setattr(harness, "PRODUCT_CHUNK", 1000)
+    monkeypatch.setattr(stats, "PRODUCT_CHUNK", 1000)
     n, z = 10**4, np.array([10.0, 1e3])
     for indices in ((0.01,), (0.01, 0.8), (0.8, 0.01)):
         with np.errstate(over="ignore"):
             rng_one = np.random.default_rng(0)
             x = np.prod([draw_pareto(TailLaw(a), rng_one, n) for a in indices], axis=0)
         assert not np.isfinite(x).all()
-        for band in (harness.BAND, math.inf):
-            monkeypatch.setattr(harness, "BAND", band)
+        for band in (stats.BAND, math.inf):
+            monkeypatch.setattr(stats, "BAND", band)
             rng = np.random.default_rng(0)
             with pytest.raises(ValueError, match="finite"):
                 _counts_below(indices, rng, n, z)
@@ -301,7 +302,7 @@ def test_product_counts_reject_non_finite(monkeypatch):
 
 @pytest.mark.parametrize("index", [0.5, 0.8])
 def test_pareto_counts_match_one_shot(monkeypatch, index):
-    monkeypatch.setattr(harness, "PRODUCT_CHUNK", 1000)
+    monkeypatch.setattr(stats, "PRODUCT_CHUNK", 1000)
     n = 4321
     rng_one = np.random.default_rng(11)
     x = draw_pareto(TailLaw(index), rng_one, n)
@@ -315,7 +316,7 @@ def test_pareto_counts_match_one_shot(monkeypatch, index):
 
 def test_pareto_counts_match_broadcast_count(monkeypatch):
     # the (n, len(z)) mask the per-threshold counts replace
-    monkeypatch.setattr(harness, "PRODUCT_CHUNK", 1000)
+    monkeypatch.setattr(stats, "PRODUCT_CHUNK", 1000)
     n, law = 4321, TailLaw(0.8)
     x = draw_pareto(law, np.random.default_rng(13), n)
     z = np.concatenate([[2.0, 10.0, 100.0], x[[7, 4000]]])
@@ -362,7 +363,7 @@ def test_counts_at_most_when_every_value_is_above_the_lowest_threshold():
         (700, 150, 1000, "-one-short-chunk"),  # n below the chunk
     )])
 def test_product_top_matches_one_shot(monkeypatch, a, b, n, k, chunk):
-    monkeypatch.setattr(harness, "PRODUCT_CHUNK", chunk)
+    monkeypatch.setattr(stats, "PRODUCT_CHUNK", chunk)
     rng_one = np.random.default_rng(5)
     x = draw_pareto(TailLaw(a), rng_one, n) * draw_pareto(TailLaw(b), rng_one, n)
     rng = np.random.default_rng(5)
@@ -385,7 +386,7 @@ def test_tail_suite_reports_match_golden_bytes(tmp_path, seed):
     golden = os.path.join(os.path.dirname(__file__), "golden")
     cfg_path = tmp_path / "cfg.txt"
     cfg_path.write_text(MINIMAL)
-    for suite, status in (("tails", 0), ("critical", 1)):
+    for suite, status in (("tails", 0), ("critical", 1), ("laplace", 0)):
         assert cli_main(["verify", suite, "--config", str(cfg_path), "--seed", str(seed),
                          "--out", str(tmp_path / "out")]) == status
         with open(os.path.join(golden, f"{suite}_report_seed{seed}.csv"), "rb") as fh:
@@ -393,12 +394,26 @@ def test_tail_suite_reports_match_golden_bytes(tmp_path, seed):
         assert (tmp_path / "out" / suite / "report.csv").read_bytes() == expected
 
 
+def test_simulate_matches_golden_digests(tmp_path):
+    # the SHA-256 of every data file of a small simulate run at seed 0
+    cfg_path = tmp_path / "cfg.txt"
+    cfg_path.write_text("alpha = 0.5\nbeta = 0.8\nd = 2\nvariant = wait-first\n"
+                        "n_grid = 50,100\nt_grid = 1\nn_samples = 200\ntrajectories = 2\n")
+    assert cli_main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 0
+    with open(os.path.join(os.path.dirname(__file__), "golden", "simulate_seed0.sha256")) as fh:
+        expected = dict(line.split()[::-1] for line in fh)
+    out = tmp_path / "out" / "simulate"
+    found = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+             for p in out.iterdir() if p.suffix in (".csv", ".json")}
+    assert found == expected
+
+
 def test_tail_chunks_are_drawn_into_buffers_made_once(monkeypatch):
     # the buffers hold about 1.1 MiB: (k + 1 + chunk) doubles and one scratch
     # chunk for _top, two uniform chunks for _counts_below; a fresh array per
     # chunk adds at least one more chunk (0.5 MiB) to the peak
     rng = np.random.default_rng(3)
-    monkeypatch.setattr(harness, "BAND", math.inf)  # every chunk is counted from its products
+    monkeypatch.setattr(stats, "BAND", math.inf)  # every chunk is counted from its products
     for tail in (lambda: _top((0.5, 0.8), rng, 10**6, 10**4),
                  lambda: _counts_below((0.5, 0.8), rng, 10**6, np.geomspace(1e2, 1e4, 25))):
         tracemalloc.start()

@@ -11,8 +11,7 @@ from levywalk import (PathTooShort, SpectralMeasure, TailLaw,
                       ks_distance, positive_stable, sample_direction,
                       stream_rng)
 from levywalk import harness
-from levywalk.harness import _grid_passage_index
-from levywalk.randgen import SEED_BATCH, _stream_rngs
+from levywalk.randgen import SEED_BATCH, _grid_passage_index, _stream_rngs
 
 
 def test_stream_rng_reproducible_and_disjoint():
@@ -290,21 +289,25 @@ class TestSubordinatorPath:
     def test_degenerate_marks_reproduce_increments(self):
         m = SpectralMeasure.atoms([[1.0, 0.0]], [1.0])
         path = build_subordinator_path(0.5, 1.0, 0.05, stream_rng(0, 906, 1),
-                                       mark_jumps=True, velocity_law=1.0, measure=m)
+                                       velocity_law=1.0, measure=m)
         jumps = path.spatial_jumps()
         np.testing.assert_allclose(jumps[:, 0], path.increments, rtol=1e-15)
         np.testing.assert_array_equal(jumps[:, 1], 0.0)
 
     def test_mark_requirements(self):
-        with pytest.raises(ValueError):
-            build_subordinator_path(0.5, 1.0, 0.1, stream_rng(0, 906, 2), mark_jumps=True)
+        # marks need both a speed law and a measure; one alone is refused
+        with pytest.raises(ValueError, match="both"):
+            build_subordinator_path(0.5, 1.0, 0.1, stream_rng(0, 906, 2), velocity_law=1.0)
+        with pytest.raises(ValueError, match="both"):
+            build_subordinator_path(0.5, 1.0, 0.1, stream_rng(0, 906, 2),
+                                    measure=SpectralMeasure.uniform(2))
         with pytest.raises(ValueError):
             build_subordinator_path(0.5, 1.0, 2.0, stream_rng(0, 906, 3))  # delta > tau_max
 
     def test_extend_refuses_a_marked_path(self):
         rng = stream_rng(0, 906, 5)
-        path = build_subordinator_path(0.5, 1.0, 0.1, rng, mark_jumps=True,
-                                       velocity_law=TailLaw(0.8), measure=SpectralMeasure.uniform(2))
+        path = build_subordinator_path(0.5, 1.0, 0.1, rng, velocity_law=TailLaw(0.8),
+                                       measure=SpectralMeasure.uniform(2))
         with pytest.raises(ValueError, match="marked"):
             extend_subordinator_path(path, rng, 1.0)
 

@@ -174,8 +174,8 @@ class TestInterpolation:
     def test_output_between_straddle_values(self):
         m = SpectralMeasure.atoms([[1.0]], [1.0])
         rng = stream_rng(0, 931, 1)
-        p = build_subordinator_path(0.5, 1.0, 0.01, rng, mark_jumps=True,
-                                    velocity_law=TailLaw(0.8), measure=m)
+        p = build_subordinator_path(0.5, 1.0, 0.01, rng, velocity_law=TailLaw(0.8),
+                                    measure=m)
         s = np.concatenate([[0.0], np.cumsum(p.spatial_jumps()[:, 0])])
         ts = rng.random(300) * p.cumulative[-1] * 0.999
         out = continuous_limit_interpolation(p, ts)[:, 0]

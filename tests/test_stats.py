@@ -19,20 +19,19 @@ def pareto(alpha, rng, size):
 class TestHill:
     def test_exact_pareto(self):
         x = pareto(0.5, stream_rng(0, 940, 0), 10**6)
-        fit = hill_estimator(x, 10**4)
-        assert abs(fit.estimate - 0.5) < 0.02
-        assert fit.k == 10**4
-        assert fit.se == pytest.approx(fit.estimate / 100.0)
+        estimate = hill_estimator(x, 10**4)
+        assert isinstance(estimate, float)
+        assert abs(estimate - 0.5) < 0.02
 
     def test_product_min_index(self):
         rng = stream_rng(0, 940, 1)
         prod = pareto(0.5, rng, 10**6) * pareto(0.8, rng, 10**6)
-        assert abs(hill_estimator(prod, 10**4).estimate - 0.5) < 0.05
+        assert abs(hill_estimator(prod, 10**4) - 0.5) < 0.05
 
     def test_scale_invariance(self):
         x = pareto(0.5, stream_rng(0, 940, 2), 10**4)
-        a = hill_estimator(x, 100).estimate
-        b = hill_estimator(1e6 * x, 100).estimate
+        a = hill_estimator(x, 100)
+        b = hill_estimator(1e6 * x, 100)
         assert a == pytest.approx(b, rel=1e-9)
 
     def test_degenerate_and_domain(self):
