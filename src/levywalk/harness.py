@@ -22,8 +22,8 @@ import numpy as np
 from .errors import ConfigError, ValidationError
 from .randgen import (TailLaw, SpectralMeasure, _grid_passage_index, _stream_rngs,
                       build_subordinator_path, positive_stable, stream_rng)
-from .walk import (position_continuous, position_jump_first, position_wait_first,
-                   renewal_count, sample_trajectory, walks,
+from .walk import (_first_block_size, position_continuous, position_jump_first,
+                   position_wait_first, renewal_count, sample_trajectory, walks,
                    write_trajectory_csv)
 from .scaling import (VARIANTS, classify_regime,
                       continuous_limit_interpolation, joint_partial_sums,
@@ -43,6 +43,15 @@ INVARIANTS_STREAM = 600
 # caps on what a config may ask for: an ensemble is one (n_samples, d) array
 MAX_ENSEMBLE_VALUES = 10**8
 MAX_TRAJECTORIES = 10**4
+# one walk's first block at the largest n and t, in doubles: its durations,
+# speeds and d direction coordinates a step. A walk's peak RSS measured about
+# 3 bytes for every byte of these (d = 2, n = 4 * 10^6, 20 walks), so the
+# cap keeps a walk near 0.5 GB, and one that runs into a third block near 1 GB
+MAX_WALK_VALUES = 2 * 10**7
+# the trajectory rows simulate writes at least: trajectories x the first
+# block at the trajectories' horizon; at 85-180 bytes a row for d = 1 to 3,
+# about 0.9 GB of CSV at the cap
+MAX_TRAJECTORY_ROWS = 5 * 10**6
 # below these indices the invariants suite's fixed scales overflow floats:
 # with warnings as errors, at seeds 0-19, 2 seeds overflow at alpha = 0.04
 # (beta = 0.8) and 1 at beta = 0.04 (alpha = 0.5); none at 0.05
@@ -171,6 +180,7 @@ def _validate(cfg: ExperimentConfig):
         raise ValidationError("seed", f"must be in [0, 2^64), got {cfg.seed}")
     if not 0 <= cfg.trajectories <= MAX_TRAJECTORIES:
         raise ValidationError("trajectories", f"must be in [0, {MAX_TRAJECTORIES}]")
+    _validate_work(cfg)
     # config.txt must parse back to the value: parse_config cuts lines at
     # `#` and at line breaks, and strips each value
     if "#" in cfg.out or cfg.out.strip() != cfg.out or len(cfg.out.splitlines()) > 1:
@@ -188,6 +198,25 @@ def _validate_norms(cfg):
             raise ValidationError("n_grid", str(exc))
         if time_norm * max(cfg.t_grid) == math.inf:
             raise ValidationError("t_grid", f"the horizon n^(1/alpha) * t overflows at n = {n}")
+
+
+def _validate_work(cfg):
+    """Refuse a config whose walks or trajectory files exceed the work caps."""
+    regime, dur, t = classify_regime(cfg.alpha, cfg.beta), TailLaw(cfg.alpha), max(cfg.t_grid)
+    n = cfg.n_grid[-1]
+    steps = _first_block_size(dur, regime.time_norm(n) * t)
+    if steps * (cfg.d + 2) > MAX_WALK_VALUES:
+        # name the larger factor: the steps, or a step's doubles
+        raise ValidationError(
+            "d" if cfg.d + 2 > steps else "n_grid",
+            f"a walk at n = {n}, t = {t:g} draws a first block of {steps} steps of d + 2 "
+            f"doubles each, over MAX_WALK_VALUES = {MAX_WALK_VALUES}; use a smaller n, t or d")
+    rows = cfg.trajectories * _first_block_size(dur, regime.time_norm(cfg.n_grid[0]) * t)
+    if rows > MAX_TRAJECTORY_ROWS:
+        raise ValidationError(
+            "trajectories", f"{cfg.trajectories} trajectories at n = {cfg.n_grid[0]}, "
+            f"t = {t:g} write at least {rows} rows, over MAX_TRAJECTORY_ROWS = "
+            f"{MAX_TRAJECTORY_ROWS}; use fewer trajectories or a smaller first n")
 
 
 @dataclass

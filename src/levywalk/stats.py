@@ -5,6 +5,12 @@ of integer tail counts from `counts_at_most`, which reorders its sample.
 The tail suites' bulk samples are never held whole: `_counts_below` counts
 Pareto products below thresholds, and `_top` keeps their largest values,
 PRODUCT_CHUNK samples at a time, bit for bit as the one-shot draw.
+
+No estimator calls BLAS or LAPACK (no matrix product, lstsq, inv, polyfit,
+corrcoef, or norm of a 1-D vector): the line fits and the rank correlation
+are closed forms over np.sum, which adds pairwise. So the critical and
+exponents suites map no OpenBLAS kernel (1.4 and 1.1 MB of resident pages
+when they did), and no fit's bits depend on which kernel the CPU selects.
 """
 
 import copy
@@ -240,6 +246,7 @@ def _top(indices, rng, n, k):
     rng.bit_generator.advance(len(indices) * n)
     return buf[buf.size - kept:]
 
+
 def log_correction_fit(samples, z_grid, alpha: float) -> LogCorrectionFit:
     """Least squares of y(z) = z^alpha * P_hat(X > z) against x = ln z.
 
@@ -249,13 +256,14 @@ def log_correction_fit(samples, z_grid, alpha: float) -> LogCorrectionFit:
     clearly nonzero slope (about 0.066 for indices 0.5 and 0.8 on
     geomspace(1e2, 1e4, 25)).
 
-    `slope_se` comes from the usual residual-variance formula, so it
-    measures how far the points are from a straight line, not the
-    sampling error of the slope: every y value is read off the same
-    upper-tail samples, so the points are correlated. For the critical
-    product of two Pareto(1/2) factors with 10^7 samples `slope_se` is
-    about 0.00024 while the Monte Carlo standard deviation of the slope
-    is about 0.0015.
+    The fit is closed-form (`_line_fit`). `slope_se` is the usual
+    residual-variance formula, sqrt(sum(r^2) / (N - 2) / sum((x - mean x)^2))
+    over the N grid points' residuals r, so it measures how far the points
+    are from a straight line, not the sampling error of the slope: every y
+    value is read off the same upper-tail samples, so the points are
+    correlated. For the critical product of two Pareto(1/2) factors with
+    10^7 samples `slope_se` is about 0.00024 while the Monte Carlo
+    standard deviation of the slope is about 0.0015.
     """
     x = np.array(samples, dtype=float)  # a copy: counts_at_most reorders it
     z = np.array(z_grid, dtype=float, ndmin=1)
@@ -276,20 +284,28 @@ def log_correction_fit_counts(tail_counts, n: int, z_grid, alpha: float) -> LogC
     tail_counts = np.asarray(tail_counts)
     if np.count_nonzero(tail_counts) < 5:
         raise InsufficientData("fewer than 5 grid points with nonzero tail counts")
-    p_hat = tail_counts / n
-    y = z**alpha * p_hat
-    x = np.log(z)
-    design = np.column_stack([np.ones_like(x), x])
-    coef, *_ = np.linalg.lstsq(design, y, rcond=None)
-    resid = y - design @ coef
-    dof = x.size - 2
-    sigma2 = float(resid @ resid) / dof
-    cov = sigma2 * np.linalg.inv(design.T @ design)
+    return _line_fit(np.log(z), z**alpha * (tail_counts / n))
+
+
+def _line_fit(x, y) -> LogCorrectionFit:
+    """Least squares of y = intercept + slope * x over at least 3 points.
+
+    Closed form from centred sums: with xc = x - mean(x), slope =
+    sum(xc (y - mean(y))) / sum(xc^2), intercept = mean(y) - slope mean(x),
+    and slope_se = sqrt(sum(r^2) / (N - 2) / sum(xc^2)) for the residuals r.
+    np.sum adds pairwise and calls no BLAS, so the fit maps no BLAS or
+    LAPACK pages and its bits do not depend on the CPU's BLAS kernel.
+    """
+    xc = x - np.mean(x)
+    sxx = np.sum(xc * xc)
+    slope = np.sum(xc * (y - np.mean(y))) / sxx
+    intercept = np.mean(y) - slope * np.mean(x)
+    rss = np.sum((y - (intercept + slope * x)) ** 2)
     return LogCorrectionFit(
-        slope=float(coef[1]),
-        intercept=float(coef[0]),
-        slope_se=float(np.sqrt(cov[1, 1])),
-        residual_norm=float(np.linalg.norm(resid)),
+        slope=float(slope),
+        intercept=float(intercept),
+        slope_se=float(np.sqrt(rss / (x.size - 2) / sxx)),
+        residual_norm=float(np.sqrt(rss)),
     )
 
 
@@ -317,16 +333,26 @@ def scaling_exponent_fit(snapshots, q: float = 0.5) -> float:
             y -= (1.0 / s.alpha) * np.log(np.log(s.n))
         xs.append(np.log(s.time_norm))
         ys.append(y)
-    return float(np.polyfit(xs, ys, 1)[0])
+    return _line_fit(np.array(xs), np.array(ys)).slope
 
 
 def spearman(x, y) -> float:
-    """Rank correlation. Null standard error is 1/sqrt(N-1) for N pairs."""
+    """Rank correlation. Null standard error is 1/sqrt(N-1) for N pairs.
+
+    Ties are ranked in order of position, so the ranks are two
+    permutations of 0..N-1 and rho = 1 - 6 sum(d^2) / (N (N^2 - 1)) for
+    their differences d, which is the Pearson correlation of the ranks.
+    sum(d^2) is an exact integer and the one division rounds once.
+    """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.size != y.size or x.size < 3:
         raise ValueError("need two equal-length samples with at least 3 pairs")
     _require_finite(x, y)
-    rx = np.argsort(np.argsort(x))
-    ry = np.argsort(np.argsort(y))
-    return float(np.corrcoef(rx, ry)[0, 1])
+    d = np.argsort(np.argsort(x)) - np.argsort(np.argsort(y))
+    # added as Python ints: sum(d^2) reaches N^3 / 3, past an int64 above
+    # N = 3 * 10^6
+    s = sum((d * d).tolist())
+    n = x.size
+    m = n * (n * n - 1)
+    return (m - 6 * s) / m

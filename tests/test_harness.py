@@ -12,12 +12,14 @@ from levywalk import (ConfigError, ExperimentConfig, SpectralMeasure, TailLaw,
                       ValidationError, classify_regime, draw_pareto, parse_config,
                       rescaled_ensemble, run_simulate, run_suite)
 from levywalk.harness import (INVARIANTS_MIN_ALPHA, INVARIANTS_MIN_BETA,
-                              MAX_ENSEMBLE_VALUES, MAX_TRAJECTORIES, ReportRow,
+                              MAX_ENSEMBLE_VALUES, MAX_TRAJECTORIES,
+                              MAX_TRAJECTORY_ROWS, MAX_WALK_VALUES, ReportRow,
                               _counting_limit_rows, _determinism_row,
                               _identity_rows, _interpolation_rows, _validate,
                               _validate_suite, suite_critical, suite_tails,
                               write_ensemble, write_report_csv)
 from levywalk.stats import FEW_THRESHOLDS, _counts_below, _top, counts_at_most
+from levywalk.walk import _first_block_size
 from levywalk import cli, harness, stats
 from levywalk.cli import main as cli_main
 
@@ -175,6 +177,37 @@ class TestParseConfig:
         with pytest.raises(ValidationError) as err:
             parse_config(MINIMAL + f"trajectories = {MAX_TRAJECTORIES + 1}\n")
         assert err.value.field == "trajectories"
+
+    @pytest.mark.parametrize("text, field", [
+        # the first block at n = 10^15 holds 1.4 * 10^14 steps, 1.01 PiB of durations
+        ("alpha = 0.9\nbeta = 0.5\nd = 2\nn_grid = 1000000000000000\nn_samples = 1\n", "n_grid"),
+        # a first block of 98 steps, but of 5 * 10^7 direction coordinates each
+        ("alpha = 0.5\nbeta = 0.8\nd = 50000000\nn_grid = 100\nn_samples = 2\n", "d"),
+    ], ids=["n", "d"])
+    def test_walk_work_is_capped(self, text, field):
+        # validation only: no walk runs
+        with pytest.raises(ValidationError) as err:
+            parse_config(text + "variant = wait-first\ntrajectories = 0\n")
+        assert err.value.field == field
+        assert f"MAX_WALK_VALUES = {MAX_WALK_VALUES}" in str(err.value)
+
+    def test_walk_work_cap_is_inclusive(self):
+        steps = _first_block_size(TailLaw(0.5), classify_regime(0.5, 0.8).time_norm(100))
+        d = MAX_WALK_VALUES // steps - 2
+        at_cap = MINIMAL.replace("d = 1", f"d = {d}") + "n_grid = 100\nn_samples = 1\n"
+        assert parse_config(at_cap).d == d
+        with pytest.raises(ValidationError) as err:
+            parse_config(at_cap.replace(f"d = {d}", f"d = {d + 1}"))
+        assert err.value.field == "d"
+
+    def test_trajectory_rows_are_capped(self):
+        steps = _first_block_size(TailLaw(0.5), classify_regime(0.5, 0.8).time_norm(1000))
+        k = MAX_TRAJECTORY_ROWS // steps
+        assert parse_config(MINIMAL + f"n_grid = 1000\ntrajectories = {k}\n").trajectories == k
+        with pytest.raises(ValidationError) as err:
+            parse_config(MINIMAL + f"n_grid = 1000\ntrajectories = {k + 1}\n")
+        assert err.value.field == "trajectories"
+        assert f"MAX_TRAJECTORY_ROWS = {MAX_TRAJECTORY_ROWS}" in str(err.value)
 
     def test_serialize_round_trip(self):
         cfg = parse_config(MINIMAL + "n_grid = 10,20,40\nt_grid = 0.5,2\nseed = 9\n")
@@ -380,9 +413,11 @@ def test_product_top_needs_pcg64():
 
 @pytest.mark.parametrize("seed", [0, 1])
 def test_tail_suite_reports_match_golden_bytes(tmp_path, seed):
-    # the reports of whole-array draws; streaming and counting from the
-    # uniforms must not move a byte, and log-correction-flat-noncritical
-    # stays the documented fail
+    # the reports pin the draws and tail counts, which streaming and
+    # counting from the uniforms must not move, and the bits of the
+    # closed-form fits, which call no BLAS or LAPACK and so do not depend on
+    # the CPU's BLAS kernel; log-correction-flat-noncritical stays the
+    # documented fail
     golden = os.path.join(os.path.dirname(__file__), "golden")
     cfg_path = tmp_path / "cfg.txt"
     cfg_path.write_text(MINIMAL)
@@ -488,6 +523,17 @@ def test_cli_simulate_rejects_overflowing_grid(tmp_path, capsys):
                         + f"n_grid = 10000000\nout = {tmp_path / 'runs'}\n")
     assert cli_main(["simulate", "--config", str(cfg_path)]) == 2
     assert "n_grid" in capsys.readouterr().err
+    assert not (tmp_path / "runs").exists()
+
+
+def test_cli_refuses_a_walk_over_the_work_cap(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.txt"
+    cfg_path.write_text(MINIMAL.replace("d = 1", "d = 50000000")
+                        + f"n_grid = 100\nn_samples = 2\ntrajectories = 0\n"
+                        f"out = {tmp_path / 'runs'}\n")
+    assert cli_main(["simulate", "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "d: a walk at n = 100" in err and "Traceback" not in err
     assert not (tmp_path / "runs").exists()
 
 

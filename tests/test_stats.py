@@ -9,7 +9,8 @@ from levywalk import (CRITICAL, DegenerateInput, EnsembleSnapshot,
                       hill_estimator, ks_distance, log_correction_fit,
                       product_tail_theory, scaling_exponent_fit, spearman,
                       stream_rng)
-from levywalk.stats import log_correction_fit_counts
+from levywalk.cli import main as cli_main
+from levywalk.stats import _line_fit, log_correction_fit_counts
 
 
 def pareto(alpha, rng, size):
@@ -222,6 +223,100 @@ class TestSpearman:
             spearman(np.arange(3.0), np.arange(4.0))
         with pytest.raises(ValueError):
             spearman(np.arange(2.0), np.arange(2.0))
+
+
+# the critical suite's grid, and y = z^alpha P_hat(X > z) against ln z as
+# log_correction_fit_counts forms it
+CRITICAL_GRID = np.geomspace(1e2, 1e4, 25)
+
+
+def critical_line(seed):
+    rng = stream_rng(seed, 946, 0)
+    x = np.sort(pareto(0.5, rng, 10**5) * pareto(0.5, rng, 10**5))
+    below = np.searchsorted(x, CRITICAL_GRID, side="right")
+    return np.log(CRITICAL_GRID), CRITICAL_GRID**0.5 * ((x.size - below) / x.size)
+
+
+class TestClosedForms:
+    """The closed-form fits and rank correlation against numpy.linalg and scipy."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_line_fit_matches_linregress_and_lstsq(self, seed):
+        x, y = critical_line(seed)
+        fit, ref = _line_fit(x, y), sps.linregress(x, y)
+        assert fit.slope == pytest.approx(ref.slope, rel=1e-12)
+        assert fit.intercept == pytest.approx(ref.intercept, rel=1e-12)
+        assert fit.slope_se == pytest.approx(ref.stderr, rel=1e-12)
+        design = np.column_stack([np.ones_like(x), x])
+        rss = np.linalg.lstsq(design, y, rcond=None)[1][0]
+        assert fit.residual_norm == pytest.approx(math.sqrt(rss), rel=1e-12)
+
+    def test_line_fit_of_an_exact_line(self):
+        x = np.log(CRITICAL_GRID)
+        fit = _line_fit(x, 0.3 + 0.5 * x)
+        assert fit.slope == pytest.approx(0.5, rel=1e-12)
+        assert fit.intercept == pytest.approx(0.3, rel=1e-12)
+        assert fit.slope_se < 1e-14 and fit.residual_norm < 1e-13
+
+    def test_exponent_fit_matches_polyfit(self):
+        rng = stream_rng(0, 946, 2)
+        snaps = [EnsembleSnapshot(
+            values=rng.pareto(1.5, (200, 2)) * n, alpha=0.5, beta=0.8,
+            measure=SpectralMeasure.uniform(2), variant="wait-first", n=n, t=1.0,
+            n_samples=200, seed=0, stream=0, space_norm=1.0 / n**1.1,
+            time_norm=float(n) ** 2) for n in (100, 300, 1000, 3000, 10000)]
+        xs = [np.log(s.time_norm) for s in snaps]
+        ys = [np.log(np.quantile(s.radial() * s.space_norm, 0.5)) for s in snaps]
+        assert scaling_exponent_fit(snaps) == pytest.approx(np.polyfit(xs, ys, 1)[0], rel=1e-12)
+
+    @pytest.mark.parametrize("n", [3, 10, 500, 10**4])
+    def test_spearman_matches_corrcoef_and_scipy(self, n):
+        x, y = stream_rng(0, 946, 3).standard_normal((2, n))  # no ties
+        ranks = [np.argsort(np.argsort(v)) for v in (x, y)]
+        assert spearman(x, y) == pytest.approx(np.corrcoef(*ranks)[0, 1], abs=1e-15)
+        assert spearman(x, y) == pytest.approx(sps.spearmanr(x, y).statistic, abs=1e-15)
+
+    def test_spearman_is_exact_past_int64_sums(self):
+        # reversed ranks: sum(d^2) = N (N^2 - 1) / 3 > 2^63 at N > 3.03 * 10^6
+        x = np.arange(3_100_000.0)
+        assert spearman(x, -x) == -1.0
+        assert spearman(x, x) == 1.0
+
+
+def _refuse(name):
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"{name} calls BLAS or LAPACK")
+    return refuse
+
+
+def test_estimators_call_no_blas_or_lapack(monkeypatch, tmp_path):
+    # `@` cannot be patched; the run's own /proc/self/smaps shows it maps no
+    # BLAS page either. joint_partial_sums is left out: it keeps
+    # np.linalg.norm of its 1-D jump sum, because tests/test_scaling.py pins
+    # its radial values to that norm's bits, which OpenBLAS's dot forms with
+    # fused multiply-adds that no BLAS-free sum reproduces
+    for module, name in [(np.linalg, "lstsq"), (np.linalg, "inv"), (np.linalg, "pinv"),
+                         (np.linalg, "solve"), (np, "polyfit"), (np, "corrcoef"),
+                         (np, "cov"), (np, "dot")]:
+        monkeypatch.setattr(module, name, _refuse(name))
+    norm = np.linalg.norm
+
+    def norm_along_an_axis(x, ord=None, axis=None, keepdims=False):
+        if axis is None:
+            raise AssertionError("norm without an axis calls BLAS's dot")
+        return norm(x, ord, axis, keepdims)
+
+    monkeypatch.setattr(np.linalg, "norm", norm_along_an_axis)
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("alpha = 0.5\nbeta = 0.8\nd = 2\nvariant = wait-first\n")
+    # 1: the documented log-correction-flat-noncritical fail
+    assert cli_main(["verify", "critical", "--config", str(cfg), "--out", str(tmp_path)]) == 1
+    snaps = [EnsembleSnapshot(
+        values=np.full((10, 1), float(n) ** 2.6), alpha=0.5, beta=0.8,
+        measure=SpectralMeasure.uniform(1), variant="wait-first", n=n, t=1.0, n_samples=10,
+        seed=0, stream=0, space_norm=1.0, time_norm=float(n) ** 2) for n in (10, 100, 1000)]
+    assert scaling_exponent_fit(snaps) == pytest.approx(1.3, rel=1e-9)
+    assert spearman(np.arange(5.0), np.arange(5.0) ** 3) == 1.0
 
 
 ESTIMATORS = {
