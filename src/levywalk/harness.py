@@ -16,6 +16,7 @@ import os
 import shutil
 import tempfile
 from dataclasses import dataclass, fields
+from functools import partial
 
 import numpy as np
 
@@ -27,7 +28,7 @@ from .walk import (_first_block_size, position_continuous, position_jump_first,
                    write_trajectory_csv)
 from .scaling import (VARIANTS, classify_regime,
                       continuous_limit_interpolation, joint_partial_sums,
-                      _parallel_fill, rescaled_ensemble)
+                      _map_spans, rescaled_ensemble)
 from . import stats
 
 # stream id blocks: ensemble index "e" in the (master seed, e, j) scheme
@@ -160,6 +161,8 @@ def _validate(cfg: ExperimentConfig):
             raise ValidationError("atoms", str(exc))
         if measure.dimension != cfg.d:
             raise ValidationError("atoms", f"atoms have dimension {measure.dimension}, d = {cfg.d}")
+    elif cfg.atoms:
+        raise ValidationError("atoms", "only read when measure = atoms")
     if len(cfg.n_grid) < 1 or any(b <= a for a, b in zip(cfg.n_grid, cfg.n_grid[1:])):
         raise ValidationError("n_grid", "must be strictly increasing")
     if any(n < 1 for n in cfg.n_grid):
@@ -294,14 +297,8 @@ def _counting_limit_rows(cfg, threads, n=10**6, n_traj=10**4, n_paths=10**4):
     # durations normalized so the count limit is the standard inverse
     # subordinator: cutoff = Gamma(1-alpha)^(-1/alpha)
     law = TailLaw.stable_normalized(alpha)
-    measure = SpectralMeasure.uniform(1)
-    counts = np.empty(n_traj)
-
-    def fill_counts(lo, rngs):
-        span = walks(law, 1.0, measure, rngs, float(n))[0]
-        counts[lo:lo + span.size] = span
-
-    _parallel_fill(cfg.seed, LAPLACE_STREAM + 10, n_traj, threads, fill_counts)
+    counts = _map_spans(cfg.seed, LAPLACE_STREAM + 10, n_traj, threads,
+                        partial(_renewal_counts, law, float(n)))
     walk_mean = float(counts.mean()) * n ** (-alpha)
 
     # one passage per sample at quarter resolution; the passage times at
@@ -325,6 +322,10 @@ def _counting_limit_rows(cfg, threads, n=10**6, n_traj=10**4, n_paths=10**4):
              gap_half, gap, 0.0 < gap_half < gap),
     ]
     return rows
+
+
+def _renewal_counts(law, horizon, rngs):
+    return walks(law, 1.0, SpectralMeasure.uniform(1), rngs, horizon)[0]
 
 
 def suite_tails(cfg, threads=1):

@@ -174,19 +174,16 @@ class TailLaw:
         return cls(index=index, cutoff=math.gamma(1.0 - index) ** (-1.0 / index))
 
 
-def draw_pareto(law: TailLaw, rng, size=None):
+def draw_pareto(law: TailLaw, rng, size):
     # 1 - random() lies in (0,1], and u=1 maps to the support boundary.
-    if size is None:
-        return law.cutoff * (1.0 - rng.random()) ** (-1.0 / law.index)
     return _pareto_from_uniforms(law, rng.random(size))
 
 
 def _pareto_from_uniforms(law, x):
     """cutoff * (1 - x)^(-1/index) for the uniforms x, in place: draw_pareto's variates.
 
-    The same three operations as the scalar form, on an array of any shape,
-    so a block of uniforms drawn elsewhere becomes the floats draw_pareto
-    would give for them.
+    It works on an array of any shape, so a block of uniforms drawn
+    elsewhere becomes the floats draw_pareto would give for them.
     """
     np.subtract(1.0, x, out=x)
     np.power(x, -1.0 / law.index, out=x)
@@ -256,34 +253,28 @@ class SpectralMeasure:
         return "atoms[" + "; ".join(parts) + "]"
 
 
-def sample_direction(measure: SpectralMeasure, rng, size=None):
-    """Draw unit vectors from the spectral measure. Shape (size, d), or (d,) if size is None."""
-    n = 1 if size is None else int(size)
-    d = measure.dimension
-    if measure.is_uniform:
-        if d == 1:
-            out = np.where(rng.random(n) < 0.5, -1.0, 1.0)[:, None]
-        else:
-            g = rng.standard_normal((n, d))
-            if d <= 7:
-                # np.linalg.norm adds fewer than 8 squares in order, so this
-                # column form is bit-identical to it and several times
-                # cheaper; from 8 columns numpy sums pairwise and bits differ
-                sq = g[:, 0] * g[:, 0]
-                for k in range(1, d):
-                    sq += g[:, k] * g[:, k]
-                r = np.sqrt(sq, out=sq)
-                for k in range(d):
-                    np.divide(g[:, k], r, out=g[:, k])
-                out = g
-            else:
-                out = g / np.linalg.norm(g, axis=1, keepdims=True)
-    else:
+def sample_direction(measure: SpectralMeasure, rng, size):
+    """Draw size unit vectors from the spectral measure, shape (size, d)."""
+    n, d = int(size), measure.dimension
+    if not measure.is_uniform:
         cum = np.cumsum(measure.probs)
         idx = np.searchsorted(cum, rng.random(n) * cum[-1], side="right")
-        idx = np.minimum(idx, len(cum) - 1)
-        out = measure.vectors[idx]
-    return out[0] if size is None else out
+        return measure.vectors[np.minimum(idx, len(cum) - 1)]
+    if d == 1:
+        return np.where(rng.random(n) < 0.5, -1.0, 1.0)[:, None]
+    g = rng.standard_normal((n, d))
+    if d > 7:
+        return g / np.linalg.norm(g, axis=1, keepdims=True)
+    # np.linalg.norm adds fewer than 8 squares in order, so this column form
+    # is bit-identical to it and several times cheaper; from 8 columns numpy
+    # sums pairwise and bits differ
+    sq = g[:, 0] * g[:, 0]
+    for k in range(1, d):
+        sq += g[:, k] * g[:, k]
+    r = np.sqrt(sq, out=sq)
+    for k in range(d):
+        np.divide(g[:, k], r, out=g[:, k])
+    return g
 
 
 def positive_stable(alpha: float, rng, size=None):

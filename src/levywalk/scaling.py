@@ -14,6 +14,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -134,25 +135,33 @@ def _norms_for(duration_law, velocity_law, n):
     return norm, norm, None, None
 
 
-def _parallel_fill(seed, stream, n_samples, threads, fill):
-    """Run fill(lo, rngs) once for each span [lo, hi) of sample indices, over a thread pool.
+def _map_spans(seed, stream, n_samples, threads, kernel):
+    """kernel(rngs) for each span of sample indices, joined in index order.
 
     rngs is an iterator whose generators draw what stream_rng(seed, stream, j)
-    would for j = lo, lo + 1, ..., hi - 1, made as it is read. Each index
-    gets a generator of its own (randgen._stream_rngs), so the partition
-    cannot change any output. At one thread the one span is every sample.
+    would for the span's j = lo, lo + 1, ..., hi - 1, made as it is read, and
+    kernel returns an array with one row per index. Each index gets a
+    generator of its own (randgen._stream_rngs), so the partition cannot
+    change any output. At one thread, or with no samples, the one span is
+    every sample, and its result is returned as it is.
     """
     def run(span):
-        fill(span[0], (rng for _, rng in _stream_rngs(seed, stream, *span)))
+        return kernel(rng for _, rng in _stream_rngs(seed, stream, *span))
 
-    if threads <= 1:
-        run((0, n_samples))
-        return
+    if threads <= 1 or n_samples < 1:
+        return run((0, n_samples))
     chunk = max(1, n_samples // (threads * 8))
     spans = [(lo, min(lo + chunk, n_samples)) for lo in range(0, n_samples, chunk)]
     # the spans follow the requested count, the pool no more than the CPUs
     with ThreadPoolExecutor(max_workers=min(threads, os.cpu_count() or 1)) as pool:
-        list(pool.map(run, spans))
+        return np.concatenate(list(pool.map(run, spans)))
+
+
+def _positions(duration_law, velocity_law, measure, horizon, variant, rngs):
+    # here, not around the pool: a worker thread keeps its own numpy error
+    # state; an inf or NaN is the callers' finiteness checks' to refuse
+    with np.errstate(over="ignore", invalid="ignore"):
+        return walks(duration_law, velocity_law, measure, rngs, horizon, variant)[1]
 
 
 def rescaled_ensemble(duration_law: TailLaw, velocity_law, measure: SpectralMeasure,
@@ -175,17 +184,8 @@ def rescaled_ensemble(duration_law: TailLaw, velocity_law, measure: SpectralMeas
     if not 0.0 <= t < math.inf:  # written so that NaN fails
         raise ValueError(f"t must be nonnegative and finite, got {t}")
     space, time_, regime_kind, beta = _norms_for(duration_law, velocity_law, n)
-    horizon = time_ * t
-    out = np.empty((n_samples, measure.dimension))
-
-    def fill(lo, rngs):
-        # here, not around the pool: a worker thread keeps its own numpy error
-        # state; an inf or NaN is the callers' finiteness checks' to refuse
-        with np.errstate(over="ignore", invalid="ignore"):
-            span = walks(duration_law, velocity_law, measure, rngs, horizon, variant)[1]
-        out[lo:lo + len(span)] = span
-
-    _parallel_fill(seed, stream, n_samples, threads, fill)
+    kernel = partial(_positions, duration_law, velocity_law, measure, time_ * t, variant)
+    out = _map_spans(seed, stream, n_samples, threads, kernel)
     return EnsembleSnapshot(
         values=out / space, alpha=duration_law.index, beta=beta, measure=measure,
         variant=variant, n=n, t=t, n_samples=n_samples, seed=seed, stream=stream,
@@ -234,19 +234,21 @@ def joint_partial_sums(duration_law: TailLaw, velocity_law: TailLaw,
     regime = classify_regime(duration_law.index, velocity_law.index)
     space = regime.space_norm(n)
     time_ = regime.time_norm(n)
-    radial = np.empty(n_samples)
-    dursum = np.empty(n_samples)
+    kernel = partial(_partial_sums, duration_law, velocity_law, measure, n)
+    sums = _map_spans(seed, stream, n_samples, threads, kernel)
+    return sums[:, 0] / space, sums[:, 1] / time_
 
-    def fill(lo, rngs):
-        for j, rng in enumerate(rngs, lo):
-            T = draw_pareto(duration_law, rng, n)
-            V = draw_pareto(velocity_law, rng, n)
-            U = sample_direction(measure, rng, n)
-            w = V * T
-            # at d = 1 sum(axis=0) adds pairwise, so a cumsum would change bits
-            jump_sum = (w[:, None] * U).sum(axis=0) if U.shape[1] == 1 else _jump_sum(w, U)
-            radial[j] = np.linalg.norm(jump_sum) / space
-            dursum[j] = T.sum() / time_
 
-    _parallel_fill(seed, stream, n_samples, threads, fill)
-    return radial, dursum
+def _partial_sums(duration_law, velocity_law, measure, n, rngs):
+    """Rows (|jump sum|, duration sum) of the first n steps of a walk on each generator.
+
+    The jump sum is a cumsum (walk._jump_sum) and its norm a square root of
+    np.sum, so no value goes through BLAS.
+    """
+    rows = []
+    for rng in rngs:
+        T = draw_pareto(duration_law, rng, n)
+        V = draw_pareto(velocity_law, rng, n)
+        s = _jump_sum(V * T, sample_direction(measure, rng, n))
+        rows.append((np.sqrt(np.sum(s * s)), T.sum()))
+    return np.array(rows).reshape(-1, 2)

@@ -108,6 +108,15 @@ class TestParseConfig:
                          "measure = atoms\natoms = 1 @ 0 0 1\n")
         assert err.value.field == "atoms"
 
+    @pytest.mark.parametrize("measure", ["", "measure = uniform\n"], ids=["default", "uniform"])
+    def test_atoms_refused_unless_measure_is_atoms(self, measure):
+        # a uniform run reads no atoms, so giving some is a mistake, not a no-op
+        for atoms in ("banana", "1 @ 1"):
+            with pytest.raises(ValidationError) as err:
+                parse_config(MINIMAL + measure + f"atoms = {atoms}\n")
+            assert err.value.field == "atoms"
+        assert parse_config(MINIMAL + measure + "atoms =\n").atoms == ""
+
     @pytest.mark.parametrize("grid", ["nan", "1,nan", "inf", "-inf"])
     def test_t_grid_must_be_finite(self, grid):
         with pytest.raises(ValidationError) as err:

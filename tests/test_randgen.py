@@ -234,10 +234,6 @@ class TestSpectralMeasure:
         # each coordinate has mean 0, variance 1/3
         assert np.all(np.abs(u.mean(axis=0)) < 4.0 / math.sqrt(3 * 10**5))
 
-    def test_single_draw_shape(self):
-        u = sample_direction(SpectralMeasure.uniform(2), stream_rng(0, 902, 1))
-        assert u.shape == (2,)
-
 
 class TestPositiveStable:
     def test_laplace_transform_grid(self):

@@ -1,4 +1,5 @@
 import math
+import pickle
 import sys
 
 import numpy as np
@@ -11,7 +12,7 @@ from levywalk import (CRITICAL, SUBORDINATOR_DOMINATED, VELOCITY_DOMINATED,
                       joint_partial_sums, ks_distance, position_continuous,
                       renewal_count, rescaled_ensemble, sample_direction,
                       sample_trajectory, stream_rng)
-from levywalk import scaling
+from levywalk import harness, scaling
 from levywalk.harness import LAPLACE_STREAM, _counting_limit_rows, parse_config
 from levywalk.randgen import SEED_BATCH
 
@@ -191,17 +192,34 @@ class TestInterpolation:
         np.testing.assert_array_equal(batch, single)
 
 
+def _partial_sums_loop(dur, vel, m, n, seed, stream, n_samples):
+    # the jump sum a cumsum, as walk._jump_sum forms it, and one BLAS-free norm
+    regime = classify_regime(dur.index, vel.index)
+    radial, dursum = np.empty(n_samples), np.empty(n_samples)
+    for j in range(n_samples):
+        rng = stream_rng(seed, stream, j)
+        T, V = draw_pareto(dur, rng, n), draw_pareto(vel, rng, n)
+        U = sample_direction(m, rng, n)
+        s = np.cumsum((V * T)[:, None] * U, axis=0)[-1]
+        radial[j] = np.sqrt(np.sum(s * s)) / regime.space_norm(n)
+        dursum[j] = T.sum() / regime.time_norm(n)
+    return radial, dursum
+
+
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_joint_partial_sums_bit_identical_to_broadcast_sum(d):
     dur, vel, m = TailLaw(0.5), TailLaw(0.8), SpectralMeasure.uniform(d)
     radial, dursum = joint_partial_sums(dur, vel, m, 500, 40, 0, 933)
-    regime = classify_regime(0.5, 0.8)
-    for j in range(40):
-        rng = stream_rng(0, 933, j)
-        T, V = draw_pareto(dur, rng, 500), draw_pareto(vel, rng, 500)
-        U = sample_direction(m, rng, 500)
-        assert radial[j] == np.linalg.norm(((V * T)[:, None] * U).sum(axis=0)) / regime.space_norm(500)
-        assert dursum[j] == T.sum() / regime.time_norm(500)
+    loop_radial, loop_dursum = _partial_sums_loop(dur, vel, m, 500, 0, 933, 40)
+    np.testing.assert_array_equal(radial, loop_radial)
+    np.testing.assert_array_equal(dursum, loop_dursum)
+
+
+@pytest.mark.parametrize("threads", [1, 2, 4])
+def test_joint_partial_sums_of_no_samples(threads):
+    radial, dursum = joint_partial_sums(TailLaw(0.5), TailLaw(0.8), SpectralMeasure.uniform(2),
+                                        50, 0, 0, 937, threads=threads)
+    assert radial.shape == dursum.shape == (0,)
 
 
 def test_joint_partial_sums_basic():
@@ -224,7 +242,11 @@ def test_rescaled_ensemble_rejects_non_finite_t(t):
                           "wait-first", 100, t, 10, 0, 0)
 
 
-def test_parallel_fill_pool_is_bounded_by_the_cpus(monkeypatch):
+def _first_words(rngs):
+    return np.array([rng.random() for rng in rngs])
+
+
+def test_map_spans_pool_is_bounded_by_the_cpus(monkeypatch):
     # a stand-in pool records its size and runs the spans in order, so no
     # thread starts; the spans still follow the requested count
     pools, spans = [], []
@@ -246,12 +268,43 @@ def test_parallel_fill_pool_is_bounded_by_the_cpus(monkeypatch):
     monkeypatch.setattr(scaling, "ThreadPoolExecutor", RecordingPool)
     monkeypatch.setattr(scaling.os, "cpu_count", lambda: 2)
     for threads, n_spans in ((4, 32), (10**6, 64)):
-        words = {}
-        scaling._parallel_fill(5, 936, 64, threads, lambda lo, rngs: [
-            words.setdefault(j, rng.random()) for j, rng in enumerate(rngs, lo)])
+        words = scaling._map_spans(5, 936, 64, threads, _first_words)
         assert pools[-1] == 2
         assert len(spans[-1]) == n_spans
-        assert words == {j: stream_rng(5, 936, j).random() for j in range(64)}
+        np.testing.assert_array_equal(words, [stream_rng(5, 936, j).random() for j in range(64)])
+
+
+def test_map_spans_returns_the_one_span_as_is_at_one_thread():
+    result = object()
+    assert scaling._map_spans(5, 936, 64, 1, lambda rngs: result) is result
+
+
+def test_span_kernels_pickle(monkeypatch):
+    # a process pool sends each kernel to its workers by pickle, which no
+    # closure over its caller's arrays survives; each kernel here runs as
+    # its pickled copy and must give the values of the kernel itself
+    dur, vel, m = TailLaw(0.5), TailLaw(0.8), SpectralMeasure.uniform(2)
+    cfg = parse_config("alpha = 0.5\nbeta = 0.8\nd = 1\nvariant = wait-first\n")
+
+    def run():
+        return (rescaled_ensemble(dur, vel, m, "continuous", 100, 1.0, 20, 0, 937).values,
+                joint_partial_sums(dur, vel, m, 50, 20, 0, 937),
+                _counting_limit_rows(cfg, 1, n=10**3, n_traj=20, n_paths=20))
+
+    direct = run()
+    kernels, map_spans = [], scaling._map_spans
+
+    def map_pickled(seed, stream, n_samples, threads, kernel):
+        kernels.append(kernel)
+        return map_spans(seed, stream, n_samples, threads, pickle.loads(pickle.dumps(kernel)))
+
+    monkeypatch.setattr(scaling, "_map_spans", map_pickled)
+    monkeypatch.setattr(harness, "_map_spans", map_pickled)
+    pickled = run()
+    assert len(kernels) == 3
+    np.testing.assert_array_equal(pickled[0], direct[0])
+    np.testing.assert_array_equal(pickled[1], direct[1])
+    assert pickled[2] == direct[2]
 
 
 # not a multiple of the seeding batch, nor of any span size at 2 or 4 threads
@@ -286,14 +339,7 @@ def test_rescaled_ensemble_same_at_every_thread_count(frequent_switches):
 def test_joint_partial_sums_same_at_every_thread_count(frequent_switches):
     dur, vel, m = TailLaw(0.5), TailLaw(0.8), SpectralMeasure.uniform(2)
     runs = [joint_partial_sums(dur, vel, m, 50, N_SPANS, 1, 935, threads=k) for k in (1, 2, 4)]
-    regime = classify_regime(0.5, 0.8)
-    radial, dursum = np.empty(N_SPANS), np.empty(N_SPANS)
-    for j in range(N_SPANS):
-        rng = stream_rng(1, 935, j)
-        T, V = draw_pareto(dur, rng, 50), draw_pareto(vel, rng, 50)
-        U = sample_direction(m, rng, 50)
-        radial[j] = np.linalg.norm(((V * T)[:, None] * U).sum(axis=0)) / regime.space_norm(50)
-        dursum[j] = T.sum() / regime.time_norm(50)
+    radial, dursum = _partial_sums_loop(dur, vel, m, 50, 1, 935, N_SPANS)
     for r, s in runs:
         np.testing.assert_array_equal(r, radial)
         np.testing.assert_array_equal(s, dursum)

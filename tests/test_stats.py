@@ -6,9 +6,9 @@ from scipy import stats as sps
 
 from levywalk import (CRITICAL, DegenerateInput, EnsembleSnapshot,
                       InsufficientData, SpectralMeasure, TailLaw,
-                      hill_estimator, ks_distance, log_correction_fit,
-                      product_tail_theory, scaling_exponent_fit, spearman,
-                      stream_rng)
+                      hill_estimator, joint_partial_sums, ks_distance,
+                      log_correction_fit, product_tail_theory,
+                      scaling_exponent_fit, spearman, stream_rng)
 from levywalk.cli import main as cli_main
 from levywalk.stats import _line_fit, log_correction_fit_counts
 
@@ -291,10 +291,7 @@ def _refuse(name):
 
 def test_estimators_call_no_blas_or_lapack(monkeypatch, tmp_path):
     # `@` cannot be patched; the run's own /proc/self/smaps shows it maps no
-    # BLAS page either. joint_partial_sums is left out: it keeps
-    # np.linalg.norm of its 1-D jump sum, because tests/test_scaling.py pins
-    # its radial values to that norm's bits, which OpenBLAS's dot forms with
-    # fused multiply-adds that no BLAS-free sum reproduces
+    # BLAS page either
     for module, name in [(np.linalg, "lstsq"), (np.linalg, "inv"), (np.linalg, "pinv"),
                          (np.linalg, "solve"), (np, "polyfit"), (np, "corrcoef"),
                          (np, "cov"), (np, "dot")]:
@@ -317,6 +314,10 @@ def test_estimators_call_no_blas_or_lapack(monkeypatch, tmp_path):
         seed=0, stream=0, space_norm=1.0, time_norm=float(n) ** 2) for n in (10, 100, 1000)]
     assert scaling_exponent_fit(snaps) == pytest.approx(1.3, rel=1e-9)
     assert spearman(np.arange(5.0), np.arange(5.0) ** 3) == 1.0
+    for d in (1, 2, 3):
+        radial, _ = joint_partial_sums(TailLaw(0.5), TailLaw(0.8), SpectralMeasure.uniform(d),
+                                       50, 4, 0, 947, threads=2)
+        assert np.all(radial > 0.0)
 
 
 ESTIMATORS = {
